@@ -14,6 +14,7 @@ for any long flag of the subcommand; explicit flags take precedence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -35,8 +36,8 @@ from .dataio import (
 from .errors import DataError, IngestError, NumericError, SurrankError, UsageError
 from .inference import TestConfig, surrogate_test
 from .multitest import Method
-from .pipeline import Dataset, run_pipeline, screen, weighted_standardized_sum
-from .rankstats import PairedSample, TwoArmSample
+from .pipeline import Dataset, _combined_marker, evaluate, run_pipeline, screen
+from .rankstats import _stack
 from .simulate import DgpConfig, run_evaluation_experiment, run_screening_experiment
 
 _MODES = {"noninf": "noninferiority", "tost": "tost"}
@@ -245,7 +246,7 @@ def _read_weights(path: str, data: Dataset):
     weights = []
     for row in rows:
         name = row["name"]
-        if name not in data.names:
+        if name not in data._columns:
             raise IngestError(f"{path}: unknown candidate {name!r}")
         try:
             weight = float(row["weight"])
@@ -257,14 +258,14 @@ def _read_weights(path: str, data: Dataset):
     return names, np.asarray(weights)
 
 
-def _combined_sample(data: Dataset, names, weights):
-    cols = [data.names.index(name) for name in names]
-    gamma_a, gamma_b, _, _, _ = weighted_standardized_sum(
-        data.candidates_a[:, cols], data.candidates_b[:, cols], weights
-    )
-    if data.design == "unpaired":
-        return TwoArmSample(treated=gamma_a, control=gamma_b)
-    return PairedSample(post=gamma_a, pre=gamma_b)
+def _write_scatter(args, data: Dataset, gamma, path: str) -> float:
+    """Rank-scatter table of the response against a marker aligned with ``data``."""
+    spec = _spec(args)
+    ids = [*data.ids_a, *data.ids_b]
+    blocks = [spec.group_a] * data.n_a + [spec.group_b] * data.n_b
+    _, values_a, values_b = _stack(data.response_sample(), gamma)
+    values = np.concatenate([values_a, values_b])
+    return write_rank_scatter(ids, blocks, values[:, 0], values[:, 1], path)
 
 
 def _print_results(results) -> None:
@@ -283,7 +284,7 @@ def _cmd_test(args) -> int:
             raise UsageError(f"--name is required when the candidates file has "
                              f"{data.p} columns")
         name = data.names[0]
-    if name not in data.names:
+    if name not in data._columns:
         raise UsageError(f"unknown candidate {name!r}")
     result = surrogate_test(data.response_sample(), data.candidate_sample(name),
                             _config(args))
@@ -309,8 +310,7 @@ def _cmd_screen(args) -> int:
 def _cmd_evaluate(args) -> int:
     data = ingest(_spec(args))
     names, weights = _read_weights(args.weights, data)
-    gamma = _combined_sample(data, names, weights)
-    result = surrogate_test(data.response_sample(), gamma, _config(args))
+    result = evaluate(data, _combined_marker(data, names, weights)[0], _config(args))
     if args.out:
         write_evaluation_summary([("gamma", result)], args.out)
     _print_results([("gamma", result)])
@@ -324,8 +324,7 @@ def _cmd_rise(args) -> int:
                           config=config, method=_method(args))
 
     evaluation_rows = [("gamma", result.evaluation)]
-    member_config = TestConfig(alpha=config.alpha, power=config.power,
-                               epsilon=result.evaluation.epsilon, mode=config.mode)
+    member_config = dataclasses.replace(config, epsilon=result.evaluation.epsilon)
     eval_data = result.evaluation_data
     for name in result.screening.selected[:_TOP_MARKERS]:
         member_result = surrogate_test(eval_data.response_sample(),
@@ -347,16 +346,7 @@ def _cmd_rise(args) -> int:
     write_evaluation_summary(evaluation_rows, paths["evaluation"])
     write_volcano(result.screening, paths["volcano"])
 
-    spec = _spec(args)
-    ids = [*eval_data.ids_a, *eval_data.ids_b]
-    blocks = [spec.group_a] * eval_data.n_a + [spec.group_b] * eval_data.n_b
-    response_values = np.concatenate([eval_data.response_a, eval_data.response_b])
-    if eval_data.design == "unpaired":
-        marker_values = np.concatenate([result.gamma.treated, result.gamma.control])
-    else:
-        marker_values = np.concatenate([result.gamma.post, result.gamma.pre])
-    rho = write_rank_scatter(ids, blocks, response_values, marker_values,
-                             paths["scatter"])
+    rho = _write_scatter(args, eval_data, result.gamma, paths["scatter"])
 
     print(f"screening: u_response={result.screening.u_response:.6g} "
           f"epsilon={result.screening.epsilon_used:.6g} "
@@ -458,16 +448,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     data = ingest(_spec(args))
     names, weights = _read_weights(args.weights, data)
-    gamma = _combined_sample(data, names, weights)
-    spec = _spec(args)
-    ids = [*data.ids_a, *data.ids_b]
-    blocks = [spec.group_a] * data.n_a + [spec.group_b] * data.n_b
-    response_values = np.concatenate([data.response_a, data.response_b])
-    if data.design == "unpaired":
-        marker_values = np.concatenate([gamma.treated, gamma.control])
-    else:
-        marker_values = np.concatenate([gamma.post, gamma.pre])
-    rho = write_rank_scatter(ids, blocks, response_values, marker_values, args.out)
+    rho = _write_scatter(args, data, _combined_marker(data, names, weights)[0], args.out)
     print(f"spearman_rho {rho!r}")
     print(f"wrote {args.out}")
     return 0

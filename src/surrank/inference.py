@@ -18,21 +18,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .rankstats import (
-    PairedSample,
-    TwoArmSample,
-    UEstimate,
-    normal_cdf,
-    normal_quantile,
-    u_statistic_paired,
-    u_statistic_unpaired,
-)
-from .variance import (
-    DeltaVariance,
-    delta_variance_paired,
-    delta_variance_unpaired,
-    null_u_variance,
-)
+from .rankstats import UEstimate, _placements, _stack, normal_cdf, normal_quantile
+from .variance import DeltaVariance, _delta_variance, null_u_variance
 
 Mode = Literal["noninferiority", "tost"]
 
@@ -106,31 +93,36 @@ def select_epsilon(u_response: UEstimate, *, alpha: float = 0.05, power: float =
         raise ConfigurationError(f"alpha must be in (0, 0.5), got {alpha}")
     if not 0.0 < power < 1.0:
         raise ConfigurationError(f"power must be in (0, 1), got {power}")
-    if u_response.design == "unpaired":
-        var0 = null_u_variance("unpaired", n1=n1, n0=n0)
-    else:
-        var0 = null_u_variance("paired", n=n, tie_fraction=u_response.tie_fraction)
+    var0 = null_u_variance(u_response.design, n1=n1, n0=n0, n=n,
+                           tie_fraction=u_response.tie_fraction)
     u_star = 0.5 + np.sqrt(var0) * (normal_quantile(power) + normal_quantile(1.0 - alpha))
     return float(max(0.0, u_response.value - u_star))
 
 
-def _one_sided_p(delta: float, sigma: float, boundary: float, side: str) -> float:
-    """P-value for H0: delta >= boundary (side 'upper') or delta <= boundary ('lower')."""
-    if sigma > 0.0:
-        z = (delta - boundary) / sigma
-        return float(normal_cdf(z) if side == "upper" else normal_cdf(-z))
-    # Degenerate variance: the estimate is treated as exact, and a value
-    # sitting on the boundary cannot count as evidence against H0.
-    if side == "upper":
-        return 0.0 if delta < boundary else 1.0
-    return 0.0 if delta > boundary else 1.0
+def _margin(u_response: UEstimate, n_a: int, n_b: int, config: TestConfig) -> float:
+    """The fixed margin, or the one derived from the response effect and block sizes."""
+    if config.epsilon is not None:
+        return config.epsilon
+    return select_epsilon(u_response, alpha=config.alpha, power=config.power,
+                          n1=n_a, n0=n_b, n=n_a)
 
 
-def surrogate_test_from_estimates(u_response: UEstimate, u_candidate: UEstimate,
-                                  variance: DeltaVariance, epsilon: float,
-                                  *, alpha: float = 0.05, mode: Mode = "noninferiority",
-                                  ) -> SurrogateTestResult:
-    """Assemble the test from precomputed estimates.
+def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, boundary: float,
+                 upper: bool) -> np.ndarray:
+    """P-values for H0: delta >= boundary (``upper``) or delta <= boundary.
+
+    Where sigma is zero the estimate is treated as exact, and a value
+    sitting on the boundary cannot count as evidence against H0.
+    """
+    spread = sigma > 0.0
+    z = (delta - boundary) / np.where(spread, sigma, 1.0)
+    beyond = delta < boundary if upper else delta > boundary
+    return np.where(spread, normal_cdf(z if upper else -z), np.where(beyond, 0.0, 1.0))
+
+
+def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon: float, alpha: float,
+              mode: Mode) -> dict:
+    """The test for arrays of gaps and standard errors sharing one margin.
 
     The confidence interval has level 1 - 2*alpha, matching the decision
     rule: the non-inferiority test rejects exactly when the upper limit
@@ -138,33 +130,36 @@ def surrogate_test_from_estimates(u_response: UEstimate, u_candidate: UEstimate,
     whole interval lies strictly inside (-epsilon, epsilon), up to the
     degenerate zero-variance case.
     """
+    p_upper = _one_sided_p(delta, sigma, epsilon, upper=True)
+    p_lower = _one_sided_p(delta, sigma, -epsilon, upper=False) if mode == "tost" else None
+    half_width = normal_quantile(1.0 - alpha) * sigma
+    return {
+        "p_value": p_upper if p_lower is None else np.maximum(p_upper, p_lower),
+        "p_upper": p_upper,
+        "p_lower": p_lower,
+        "ci_lower": delta - half_width,
+        "ci_upper": delta + half_width,
+    }
+
+
+def surrogate_test_from_estimates(u_response: UEstimate, u_candidate: UEstimate,
+                                  variance: DeltaVariance, epsilon: float,
+                                  *, alpha: float = 0.05, mode: Mode = "noninferiority",
+                                  ) -> SurrogateTestResult:
+    """Assemble the test from precomputed estimates (see :func:`_assemble`)."""
     if u_response.design != u_candidate.design or u_response.design != variance.design:
         raise AlignmentError("estimates and variance must share one design")
     delta = u_response.value - u_candidate.value
-    sigma = variance.sigma
-
-    p_upper = _one_sided_p(delta, sigma, epsilon, "upper")
-    if mode == "tost":
-        p_lower = _one_sided_p(delta, sigma, -epsilon, "lower")
-        p_value = max(p_upper, p_lower)
-    else:
-        p_lower = None
-        p_value = p_upper
-
-    half_width = normal_quantile(1.0 - alpha) * sigma
+    test = _assemble(np.array([delta]), np.array([variance.sigma]), epsilon, alpha, mode)
     return SurrogateTestResult(
         u_response=u_response.value,
         u_candidate=u_candidate.value,
         delta=delta,
-        sigma=sigma,
+        sigma=variance.sigma,
         epsilon=epsilon,
         alpha=alpha,
         mode=mode,
-        p_value=p_value,
-        p_upper=p_upper,
-        p_lower=p_lower,
-        ci_lower=delta - half_width,
-        ci_upper=delta + half_width,
+        **{key: None if value is None else float(value[0]) for key, value in test.items()},
         degenerate=variance.degenerate,
     )
 
@@ -176,22 +171,9 @@ def surrogate_test(response, candidate, config: TestConfig = TestConfig()) -> Su
     :class:`PairedSample`.  With ``config.epsilon=None`` the margin is
     derived from the response effect at the configured power.
     """
-    if isinstance(response, TwoArmSample) and isinstance(candidate, TwoArmSample):
-        u_y = u_statistic_unpaired(response)
-        u_s = u_statistic_unpaired(candidate)
-        dv = delta_variance_unpaired(response, candidate)
-        sizes = dict(n1=response.n1, n0=response.n0)
-    elif isinstance(response, PairedSample) and isinstance(candidate, PairedSample):
-        u_y = u_statistic_paired(response)
-        u_s = u_statistic_paired(candidate)
-        dv = delta_variance_paired(response, candidate)
-        sizes = dict(n=response.n)
-    else:
-        raise AlignmentError("response and candidate must both be unpaired or both paired")
-
-    if config.epsilon is not None:
-        epsilon = config.epsilon
-    else:
-        epsilon = select_epsilon(u_y, alpha=config.alpha, power=config.power, **sizes)
-    return surrogate_test_from_estimates(u_y, u_s, dv, epsilon, alpha=config.alpha,
-                                         mode=config.mode)
+    placements = _placements(*_stack(response, candidate))
+    u_y = placements.estimate(0)
+    epsilon = _margin(u_y, placements.sizes[0], placements.sizes[-1], config)
+    return surrogate_test_from_estimates(u_y, placements.estimate(1),
+                                         _delta_variance(placements), epsilon,
+                                         alpha=config.alpha, mode=config.mode)

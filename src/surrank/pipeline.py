@@ -20,17 +20,15 @@ from .errors import (
     NoSurrogatesSelectedError,
     SurrankError,
 )
-from .inference import Mode, SurrogateTestResult, TestConfig, select_epsilon, \
-    surrogate_test, surrogate_test_from_estimates
+from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, \
+    surrogate_test
 from .multitest import Method, adjust
-from .rankstats import (
-    Design,
-    PairedSample,
-    TwoArmSample,
-    u_statistic_paired,
-    u_statistic_unpaired,
-)
-from .variance import delta_variance_paired, delta_variance_unpaired
+from .rankstats import Design, PairedSample, TwoArmSample, _placements, _sample
+from .variance import _gap_variances
+
+# Candidate columns per kernel call in `screen`; bounds the working memory
+# at a few (n, _CHUNK_COLUMNS) arrays whatever the panel width.
+_CHUNK_COLUMNS = 512
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
@@ -92,7 +90,9 @@ class Dataset:
             raise AlignmentError(f"{len(names)} names for {self.candidates_a.shape[1]} candidates")
         if len(names) == 0:
             raise InvalidInputError("need at least one candidate")
-        if len(set(names)) != len(names):
+        # name -> column index; not a field, so equality ignores it
+        object.__setattr__(self, "_columns", {name: j for j, name in enumerate(names)})
+        if len(self._columns) != len(names):
             raise InvalidInputError("candidate names must be unique")
         ids_a = tuple(str(i) for i in self.ids_a)
         ids_b = tuple(str(i) for i in self.ids_b)
@@ -147,18 +147,17 @@ class Dataset:
         return self.response_b.size
 
     def response_sample(self):
-        if self.design == "unpaired":
-            return TwoArmSample(treated=self.response_a, control=self.response_b)
-        return PairedSample(post=self.response_a, pre=self.response_b)
+        return _sample(self.design, self.response_a, self.response_b)
 
     def candidate_sample(self, name: str):
+        j = self._column(name)
+        return _sample(self.design, self.candidates_a[:, j], self.candidates_b[:, j])
+
+    def _column(self, name: str) -> int:
         try:
-            j = self.names.index(name)
-        except ValueError:
+            return self._columns[name]
+        except KeyError:
             raise InvalidInputError(f"unknown candidate {name!r}") from None
-        if self.design == "unpaired":
-            return TwoArmSample(treated=self.candidates_a[:, j], control=self.candidates_b[:, j])
-        return PairedSample(post=self.candidates_a[:, j], pre=self.candidates_b[:, j])
 
     def take(self, rows_a, rows_b) -> "Dataset":
         """Subset by row indices (paired designs require identical index sets)."""
@@ -313,52 +312,32 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     Candidates with no spread in either block are uninformative and are
     reported with p = 1 and the degenerate flag instead of a test.
     """
-    response = data.response_sample()
-    if data.design == "unpaired":
-        u_y = u_statistic_unpaired(response)
-        sizes = dict(n1=data.n_a, n0=data.n_b)
-    else:
-        u_y = u_statistic_paired(response)
-        sizes = dict(n=data.n_a)
-    if config.epsilon is not None:
-        epsilon = config.epsilon
-    else:
-        epsilon = select_epsilon(u_y, alpha=config.alpha, power=config.power, **sizes)
+    u_candidate, variance = [], []
+    for start in range(0, data.p, _CHUNK_COLUMNS):
+        cols = slice(start, start + _CHUNK_COLUMNS)
+        # row 0 of every chunk is the response, the others its candidates
+        placements = _placements(data.design,
+                                 np.column_stack([data.response_a, data.candidates_a[:, cols]]),
+                                 np.column_stack([data.response_b, data.candidates_b[:, cols]]))
+        treated, control = _gap_variances(placements)
+        u_candidate.append(placements.u[1:])
+        variance.append(treated + control)
+    u_y = placements.estimate(0)
+    epsilon = _margin(u_y, data.n_a, data.n_b, config)
+    u_candidate = np.concatenate(u_candidate)
+    delta = u_y.value - u_candidate
+    sigma = np.sqrt(np.concatenate(variance))
+    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
 
-    names, results, constant = [], [], []
-    for name in data.names:
-        candidate = data.candidate_sample(name)
-        if data.design == "unpaired":
-            u_s = u_statistic_unpaired(candidate)
-            dv = delta_variance_unpaired(response, candidate)
-        else:
-            u_s = u_statistic_paired(candidate)
-            dv = delta_variance_paired(response, candidate)
-        res = surrogate_test_from_estimates(u_y, u_s, dv, epsilon,
-                                            alpha=config.alpha, mode=config.mode)
-        is_constant = np.ptp(candidate.treated if data.design == "unpaired"
-                             else candidate.post) == 0.0 and \
-            np.ptp(candidate.control if data.design == "unpaired" else candidate.pre) == 0.0
-        names.append(name)
-        results.append(res)
-        constant.append(is_constant)
-
-    raw = np.array([1.0 if flat else res.p_value for res, flat in zip(results, constant)])
+    flat = (np.ptp(data.candidates_a, axis=0) == 0.0) & (np.ptp(data.candidates_b, axis=0) == 0.0)
+    raw = np.where(flat, 1.0, test["p_value"])
     adjusted = adjust(raw, method).adjusted if method is not None else raw
-
     rows = tuple(
-        ScreeningRow(
-            name=name,
-            u_candidate=res.u_candidate,
-            delta=res.delta,
-            sigma=res.sigma,
-            ci_lower=res.ci_lower,
-            ci_upper=res.ci_upper,
-            raw_p=float(p_raw),
-            adjusted_p=float(p_adj),
-            degenerate=bool(flat or res.degenerate),
-        )
-        for name, res, flat, p_raw, p_adj in zip(names, results, constant, raw, adjusted)
+        ScreeningRow(*fields)
+        for fields in zip(data.names, u_candidate.tolist(), delta.tolist(), sigma.tolist(),
+                          test["ci_lower"].tolist(), test["ci_upper"].tolist(),
+                          raw.tolist(), np.asarray(adjusted, dtype=float).tolist(),
+                          (flat | (sigma == 0.0)).tolist())
     )
     hits = [row for row in rows if row.adjusted_p < config.alpha]
     hits.sort(key=lambda row: (row.adjusted_p, abs(row.delta), row.name))
@@ -402,6 +381,19 @@ def weighted_standardized_sum(values_a: np.ndarray, values_b: np.ndarray, weight
     return gamma_a, gamma_b, means, sds, degenerate
 
 
+def _combined_marker(data: Dataset, names, weights):
+    """The weighted standardized sum of the named columns, as a sample aligned with ``data``.
+
+    Returns the sample with the per-member pooled means, sds and
+    zero-spread mask of :func:`weighted_standardized_sum`.
+    """
+    cols = [data._column(name) for name in names]
+    gamma_a, gamma_b, means, sds, degenerate = weighted_standardized_sum(
+        data.candidates_a[:, cols], data.candidates_b[:, cols], weights
+    )
+    return _sample(data.design, gamma_a, gamma_b), means, sds, degenerate
+
+
 def combine(data: Dataset, report: ScreeningReport):
     """Collapse the selected candidates into one combined marker.
 
@@ -416,7 +408,7 @@ def combine(data: Dataset, report: ScreeningReport):
         raise NoSurrogatesSelectedError("no candidates passed screening")
     if report.design != data.design:
         raise AlignmentError("screening report and dataset designs differ")
-    missing = [name for name in report.selected if name not in data.names]
+    missing = [name for name in report.selected if name not in data._columns]
     if missing:
         raise AlignmentError(f"selected candidates absent from dataset: {missing}")
 
@@ -425,10 +417,7 @@ def combine(data: Dataset, report: ScreeningReport):
     weights = np.array(
         [1.0 / max(abs(by_name[name].delta), floor) for name in report.selected]
     )
-    cols = [data.names.index(name) for name in report.selected]
-    gamma_a, gamma_b, means, sds, degenerate = weighted_standardized_sum(
-        data.candidates_a[:, cols], data.candidates_b[:, cols], weights
-    )
+    gamma, means, sds, degenerate = _combined_marker(data, report.selected, weights)
     combined = CombinedSurrogate(
         members=report.selected,
         weights=tuple(float(w) for w in weights),
@@ -437,10 +426,6 @@ def combine(data: Dataset, report: ScreeningReport):
             name for name, flat in zip(report.selected, degenerate) if flat
         ),
     )
-    if data.design == "unpaired":
-        gamma = TwoArmSample(treated=gamma_a, control=gamma_b)
-    else:
-        gamma = PairedSample(post=gamma_a, pre=gamma_b)
     return combined, gamma
 
 
@@ -450,16 +435,7 @@ def evaluate(data: Dataset, gamma, config: TestConfig = TestConfig()) -> Surroga
     With ``config.epsilon=None`` the margin is re-derived from this
     split's own response effect and size.
     """
-    response = data.response_sample()
-    if isinstance(gamma, TwoArmSample):
-        if data.design != "unpaired" or gamma.n1 != data.n_a or gamma.n0 != data.n_b:
-            raise AlignmentError("combined marker does not align with the evaluation data")
-    elif isinstance(gamma, PairedSample):
-        if data.design != "paired" or gamma.n != data.n_a:
-            raise AlignmentError("combined marker does not align with the evaluation data")
-    else:
-        raise InvalidInputError("gamma must be a TwoArmSample or PairedSample")
-    return surrogate_test(response, gamma, config)
+    return surrogate_test(data.response_sample(), gamma, config)
 
 
 def run_pipeline(data: Dataset, ratio: float = 0.75, seed: int = 0,

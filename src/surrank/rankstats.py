@@ -5,6 +5,13 @@ P(X^1 > X^0) + 0.5 * P(X^1 = X^0), and estimated by averaging the pairwise
 win/tie kernel over all treated-control pairs (independent two-arm design)
 or over within-unit pairs (paired design).  Ties contribute exactly 1/2
 through the kernel; no midrank machinery is involved.
+
+Each design has one kernel, :func:`_placements`, which works on whole
+blocks of variables at once and returns every observation's kernel sum
+against its comparison partners (DeLong's placement values, scaled by the
+partner count).  The U estimates, the variance of a gap between two U
+estimates and the single-variable estimators all derive from it, and
+only this module maps a design to its kernel and its sample type.
 """
 
 from __future__ import annotations
@@ -14,16 +21,10 @@ from typing import Literal
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .errors import AlignmentError, InsufficientDataError, InvalidInputError
 
 Design = Literal["unpaired", "paired"]
-
-# Above this pair count the unpaired estimator switches from the dense
-# pairwise comparison to an O(N log N) rank-sum evaluation.  Both compute
-# the identical value: every partial sum is an exact multiple of 1/2.
-_DENSE_PAIR_LIMIT = 4_000_000
 
 
 def _as_finite_vector(values, name: str) -> np.ndarray:
@@ -108,27 +109,103 @@ def g_kernel(a: float, b: float) -> float:
     return 0.0
 
 
-def _u_unpaired_dense(treated: np.ndarray, control: np.ndarray) -> tuple[float, float]:
-    gt = treated[:, None] > control[None, :]
-    eq = treated[:, None] == control[None, :]
-    pairs = treated.size * control.size
-    value = (gt.sum() + 0.5 * eq.sum()) / pairs
-    return float(value), float(eq.sum() / pairs)
+def _others_before(pooled: np.ndarray, n_first: int) -> np.ndarray:
+    """Per entry, how many entries of the other block precede it in its row.
+
+    The first ``n_first`` columns form the first block.  The sort is
+    stable, so a first-block entry counts the strictly smaller entries of
+    the second block, and a second-block entry the first-block entries at
+    or below it.
+    """
+    order = np.argsort(pooled, axis=1, kind="stable")
+    from_first = order < n_first
+    first_seen = np.cumsum(from_first, axis=1)
+    before = np.where(from_first, np.arange(1, pooled.shape[1] + 1) - first_seen, first_seen)
+    out = np.empty_like(before)
+    out[np.arange(pooled.shape[0])[:, None], order] = before
+    return out
 
 
-def _u_unpaired_ranks(treated: np.ndarray, control: np.ndarray) -> tuple[float, float]:
-    # Midrank identity: R1 - n1(n1+1)/2 = #wins + 0.5 * #ties, all terms
-    # exact multiples of 1/2, so this matches the dense path bit for bit.
-    n1, n0 = treated.size, control.size
-    ranks = rankdata(np.concatenate([treated, control]))
-    wins_plus_half_ties = ranks[:n1].sum() - n1 * (n1 + 1) / 2.0
-    value = wins_plus_half_ties / (n1 * n0)
+@dataclass(frozen=True)
+class _Placements:
+    """Kernel sums of every observation against its partners, one row per variable.
 
-    pooled, inverse = np.unique(np.concatenate([treated, control]), return_inverse=True)
-    counts1 = np.bincount(inverse[:n1], minlength=pooled.size)
-    counts0 = np.bincount(inverse[n1:], minlength=pooled.size)
-    ties = float(np.dot(counts1, counts0))
-    return float(value), ties / (n1 * n0)
+    ``counts`` holds one ``(k, n)`` array per side, each entry the kernel
+    summed over that observation's ``partners`` comparisons: unpaired, the
+    treated arm against all controls and all treated against each control;
+    paired, the unit's own (post, pre) kernel.  Entries are multiples of
+    1/2, so their sums are exact.  ``ties`` counts tied comparisons per row.
+    """
+
+    design: Design
+    counts: tuple[np.ndarray, ...]
+    partners: tuple[int, ...]
+    ties: np.ndarray
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(side.shape[1] for side in self.counts)
+
+    @property
+    def comparisons(self) -> int:
+        return self.sizes[0] * self.partners[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        """U estimate of each row: the kernel total over the comparison count."""
+        return self.counts[0].sum(axis=1) / self.comparisons
+
+    def estimate(self, row: int) -> UEstimate:
+        return UEstimate(float(self.u[row]), self.design,
+                         float(self.ties[row] / self.comparisons))
+
+
+def _placements(design: Design, a: np.ndarray, b: np.ndarray) -> _Placements:
+    """The design's kernel over an ``(n_a, k)`` and an ``(n_b, k)`` block.
+
+    Unpaired blocks are the two arms; paired blocks are the post and pre
+    measurements of the same units, row for row.
+    """
+    if design == "paired":
+        post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        ties = post == pre
+        return _Placements(design, ((post > pre) + 0.5 * ties,), (1,), ties.sum(axis=1))
+    (n_a, k), n_b = a.shape, b.shape[0]
+    pooled = np.concatenate([a.T, b.T], axis=1)
+    # rows below k count upward (treated: #control < it; control: #treated <= it),
+    # rows from k, on the negated values, downward (#control > it; #treated >= it)
+    counted = _others_before(np.concatenate([pooled, -pooled]), n_a)
+    below, above = counted[:k], counted[k:]
+    net = below - above
+    treated = 0.5 * (n_b + net[:, :n_a])
+    control = 0.5 * (n_a - net[:, n_a:])
+    ties = n_a * n_b - (below[:, :n_a] + above[:, :n_a]).sum(axis=1)
+    return _Placements(design, (treated, control), (n_b, n_a), ties)
+
+
+def _sample(design: Design, values_a, values_b):
+    """Per-subject values of the two blocks as the design's sample type."""
+    if design == "unpaired":
+        return TwoArmSample(treated=values_a, control=values_b)
+    return PairedSample(post=values_a, pre=values_b)
+
+
+def _stack(response, candidate) -> tuple[Design, np.ndarray, np.ndarray]:
+    """A response and a candidate sample as the two columns of the design's blocks."""
+    if isinstance(response, TwoArmSample) and isinstance(candidate, TwoArmSample):
+        design = "unpaired"
+        y, s = (response.treated, response.control), (candidate.treated, candidate.control)
+    elif isinstance(response, PairedSample) and isinstance(candidate, PairedSample):
+        design = "paired"
+        y, s = (response.post, response.pre), (candidate.post, candidate.pre)
+    else:
+        raise AlignmentError("response and candidate must both be unpaired or both paired")
+    y_sizes, s_sizes = tuple(v.size for v in y), tuple(v.size for v in s)
+    if y_sizes != s_sizes:
+        raise AlignmentError(
+            f"response and candidate cover different units: sizes {y_sizes} vs {s_sizes}"
+        )
+    return design, np.array([y[0], s[0]]).T, np.array([y[1], s[1]]).T
 
 
 def u_statistic_unpaired(sample: TwoArmSample) -> UEstimate:
@@ -137,11 +214,7 @@ def u_statistic_unpaired(sample: TwoArmSample) -> UEstimate:
     Returns the average of the win/tie kernel over the n1 * n0 pairwise
     comparisons, which lies on the grid k / (2 * n1 * n0).
     """
-    if sample.n1 * sample.n0 <= _DENSE_PAIR_LIMIT:
-        value, ties = _u_unpaired_dense(sample.treated, sample.control)
-    else:
-        value, ties = _u_unpaired_ranks(sample.treated, sample.control)
-    return UEstimate(value=value, design="unpaired", tie_fraction=ties)
+    return _placements("unpaired", sample.treated[:, None], sample.control[:, None]).estimate(0)
 
 
 def u_statistic_paired(sample: PairedSample) -> UEstimate:
@@ -150,10 +223,7 @@ def u_statistic_paired(sample: PairedSample) -> UEstimate:
     Averages the win/tie kernel over the n unit-level (post, pre)
     comparisons; values lie on the grid k / (2 * n).
     """
-    gt = sample.post > sample.pre
-    eq = sample.post == sample.pre
-    value = (gt.sum() + 0.5 * eq.sum()) / sample.n
-    return UEstimate(value=float(value), design="paired", tie_fraction=float(eq.mean()))
+    return _placements("paired", sample.post[:, None], sample.pre[:, None]).estimate(0)
 
 
 def delta_hat(u_y: UEstimate, u_s: UEstimate) -> float:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidInputError
-from .rankstats import Design, PairedSample, TwoArmSample, require_min_size
+from .errors import InvalidInputError
+from .rankstats import Design, PairedSample, TwoArmSample, _Placements, _placements, _stack, \
+    require_min_size
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,36 @@ class DeltaVariance:
         return self.variance == 0.0
 
 
-def _g_matrix(treated: np.ndarray, control: np.ndarray) -> np.ndarray:
-    """Kernel values for every treated-control pair, shape (n1, n0)."""
-    gt = treated[:, None] > control[None, :]
-    eq = treated[:, None] == control[None, :]
-    return gt + 0.5 * eq
+def _gap_variances(placements: _Placements) -> tuple[np.ndarray, ...]:
+    """Per-side pieces of Var(delta) for every candidate row against response row 0.
+
+    Each side's structural components are the kernel sums over the partner
+    count; a side contributes var(response - candidate components, ddof=1)
+    over its observation count.  The control piece is zero for the paired
+    design, which has one side.
+    """
+    require_min_size(placements.design, *placements.sizes)
+    pieces = []
+    for counts, partners, size in zip(placements.counts, placements.partners,
+                                      placements.sizes):
+        components = counts / partners
+        pieces.append(np.var(components[0] - components[1:], axis=1, ddof=1) / size)
+    if len(pieces) == 1:
+        pieces.append(np.zeros_like(pieces[0]))
+    return tuple(pieces)
 
 
-def _check_same_units(y_sizes: tuple[int, ...], s_sizes: tuple[int, ...]) -> None:
-    if y_sizes != s_sizes:
-        raise AlignmentError(
-            f"response and candidate cover different units: sizes {y_sizes} vs {s_sizes}"
-        )
+def _delta_variance(placements: _Placements) -> DeltaVariance:
+    """:class:`DeltaVariance` of a response and one candidate, rows 0 and 1."""
+    treated, control = (float(piece[0]) for piece in _gap_variances(placements))
+    variance = treated + control
+    return DeltaVariance(
+        sigma=float(np.sqrt(variance)),
+        variance=variance,
+        design=placements.design,
+        treated_component=treated,
+        control_component=control,
+    )
 
 
 def delta_variance_unpaired(response: TwoArmSample, candidate: TwoArmSample) -> DeltaVariance:
@@ -62,47 +81,18 @@ def delta_variance_unpaired(response: TwoArmSample, candidate: TwoArmSample) -> 
     variance of delta is var of the treated-side differences over n1 plus
     var of the control-side differences over n0 (both with ddof=1).
     """
-    _check_same_units((response.n1, response.n0), (candidate.n1, candidate.n0))
-    require_min_size("unpaired", response.n1, response.n0)
-
-    g_y = _g_matrix(response.treated, response.control)
-    g_s = _g_matrix(candidate.treated, candidate.control)
-
-    diff_treated = g_y.mean(axis=1) - g_s.mean(axis=1)
-    diff_control = g_y.mean(axis=0) - g_s.mean(axis=0)
-
-    treated_component = float(np.var(diff_treated, ddof=1) / response.n1)
-    control_component = float(np.var(diff_control, ddof=1) / response.n0)
-    variance = treated_component + control_component
-    return DeltaVariance(
-        sigma=float(np.sqrt(variance)),
-        variance=variance,
-        design="unpaired",
-        treated_component=treated_component,
-        control_component=control_component,
-    )
+    return _delta_variance(_placements(*_stack(response, candidate)))
 
 
 def paired_kernel_differences(response: PairedSample, candidate: PairedSample) -> np.ndarray:
     """Per-unit kernel difference d_i = g(Y_post, Y_pre) - g(S_post, S_pre)."""
-    _check_same_units((response.n,), (candidate.n,))
-    g_y = (response.post > response.pre) + 0.5 * (response.post == response.pre)
-    g_s = (candidate.post > candidate.pre) + 0.5 * (candidate.post == candidate.pre)
-    return g_y - g_s
+    (kernel,) = _placements(*_stack(response, candidate)).counts
+    return kernel[0] - kernel[1]
 
 
 def delta_variance_paired(response: PairedSample, candidate: PairedSample) -> DeltaVariance:
     """Variance of delta for the paired design: var(d_i, ddof=1) / n."""
-    require_min_size("paired", response.n)
-    d = paired_kernel_differences(response, candidate)
-    variance = float(np.var(d, ddof=1) / d.size)
-    return DeltaVariance(
-        sigma=float(np.sqrt(variance)),
-        variance=variance,
-        design="paired",
-        treated_component=variance,
-        control_component=0.0,
-    )
+    return _delta_variance(_placements(*_stack(response, candidate)))
 
 
 def null_u_variance(design: Design, *, n1: int = 0, n0: int = 0, n: int = 0,

@@ -1,0 +1,130 @@
+"""Properties of the per-design rank kernel, on integer data with many ties.
+
+The kernel screens whole column blocks; the single-marker functions are
+its one-column case.  These tests pin both against the brute-force
+win/tie kernel and against each other, bit for bit.
+"""
+
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import given
+
+from surrank import pipeline
+from surrank.inference import TestConfig, surrogate_test
+from surrank.pipeline import Dataset, screen
+from surrank.rankstats import g_kernel, u_statistic_paired, u_statistic_unpaired
+
+
+@st.composite
+def studies(draw, max_p=10):
+    """A dataset whose response is column 0 of two small-integer blocks."""
+    design = draw(st.sampled_from(["unpaired", "paired"]))
+    n_a = draw(st.integers(2, 9))
+    n_b = n_a if design == "paired" else draw(st.integers(2, 9))
+    p = draw(st.integers(1, max_p))
+    # one level makes every comparison a tie and every column flat
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, levels, (n_a, p + 1)).astype(float)
+    b = rng.integers(0, levels, (n_b, p + 1)).astype(float)
+    if design == "paired":
+        return Dataset.paired(a[:, 0], b[:, 0], a[:, 1:], b[:, 1:])
+    return Dataset.unpaired(a[:, 0], b[:, 0], a[:, 1:], b[:, 1:])
+
+
+def brute_force_u(design, a, b):
+    if design == "paired":
+        return sum(g_kernel(x, y) for x, y in zip(a, b)) / len(a)
+    return sum(g_kernel(x, y) for x in a for y in b) / (len(a) * len(b))
+
+
+def brute_force_variance(design, y_a, y_b, s_a, s_b):
+    """Var(delta) from the full kernel matrices, averaged into structural components."""
+    if design == "paired":
+        d = [g_kernel(*ys[:2]) - g_kernel(*ys[2:]) for ys in zip(y_a, y_b, s_a, s_b)]
+        return np.var(d, ddof=1) / len(d)
+    g_y = np.array([[g_kernel(x, y) for y in y_b] for x in y_a])
+    g_s = np.array([[g_kernel(x, y) for y in s_b] for x in s_a])
+    return (np.var(g_y.mean(axis=1) - g_s.mean(axis=1), ddof=1) / len(y_a)
+            + np.var(g_y.mean(axis=0) - g_s.mean(axis=0), ddof=1) / len(y_b))
+
+
+def single_u(design, sample):
+    return (u_statistic_paired if design == "paired" else u_statistic_unpaired)(sample).value
+
+
+@given(studies())
+def test_u_equals_brute_force_kernel(data):
+    report = screen(data, TestConfig())
+    assert report.u_response == brute_force_u(data.design, data.response_a, data.response_b)
+    assert single_u(data.design, data.response_sample()) == report.u_response
+    for j, row in enumerate(report.rows):
+        expected = brute_force_u(data.design, data.candidates_a[:, j], data.candidates_b[:, j])
+        assert row.u_candidate == expected
+        assert single_u(data.design, data.candidate_sample(row.name)) == expected
+
+
+@given(studies())
+def test_sigma_equals_brute_force_components(data):
+    report = screen(data, TestConfig())
+    for j, row in enumerate(report.rows):
+        expected = brute_force_variance(data.design, data.response_a, data.response_b,
+                                        data.candidates_a[:, j], data.candidates_b[:, j])
+        assert row.sigma == np.sqrt(expected)
+
+
+def assert_rows_match_single_tests(data, report, config):
+    for j, row in enumerate(report.rows):
+        single = surrogate_test(data.response_sample(), data.candidate_sample(row.name),
+                                TestConfig(alpha=config.alpha, epsilon=report.epsilon_used,
+                                           mode=config.mode))
+        flat = np.ptp(data.candidates_a[:, j]) == 0.0 and np.ptp(data.candidates_b[:, j]) == 0.0
+        assert (row.u_candidate, row.delta, row.sigma, row.ci_lower, row.ci_upper) == (
+            single.u_candidate, single.delta, single.sigma, single.ci_lower, single.ci_upper)
+        assert row.raw_p == (1.0 if flat else single.p_value)
+        assert row.degenerate == (flat or single.degenerate)
+
+
+@given(studies(), st.integers(1, 4), st.sampled_from(["noninferiority", "tost"]))
+def test_screen_rows_equal_single_marker_tests(data, chunk, mode):
+    config = TestConfig(mode=mode)
+    with mock.patch.object(pipeline, "_CHUNK_COLUMNS", chunk):
+        report = screen(data, config, method=None)
+    assert report.epsilon_used == surrogate_test(
+        data.response_sample(), data.candidate_sample(data.names[0]), config).epsilon
+    assert_rows_match_single_tests(data, report, config)
+
+
+def test_screen_rows_equal_single_marker_tests_across_chunks():
+    rng = np.random.default_rng(5)
+    p = 2 * pipeline._CHUNK_COLUMNS + 3
+    data = Dataset.unpaired(rng.integers(0, 6, 30).astype(float),
+                            rng.integers(0, 4, 25).astype(float),
+                            rng.integers(0, 5, (30, p)).astype(float),
+                            rng.integers(0, 5, (25, p)).astype(float))
+    config = TestConfig(mode="tost")
+    assert_rows_match_single_tests(data, screen(data, config, method=None), config)
+
+
+@given(studies(), st.randoms(use_true_random=False))
+def test_permuting_candidates_permutes_rows(data, random):
+    order = list(range(data.p))
+    random.shuffle(order)
+    shuffled = Dataset(data.design, data.response_a, data.response_b,
+                       data.candidates_a[:, order], data.candidates_b[:, order],
+                       [data.names[j] for j in order], data.ids_a, data.ids_b)
+    report = screen(data, TestConfig(), method="bh")
+    permuted = screen(shuffled, TestConfig(), method="bh")
+    assert permuted.rows == tuple(report.rows[j] for j in order)
+    assert permuted.selected == report.selected
+
+
+@given(studies())
+def test_increasing_transforms_leave_screen_unchanged(data):
+    # 2**x is strictly increasing and exact on small integers
+    transformed = Dataset(data.design, 2.0 ** data.response_a, 2.0 ** data.response_b,
+                          2.0 ** data.candidates_a, 2.0 ** data.candidates_b,
+                          data.names, data.ids_a, data.ids_b)
+    assert screen(transformed, TestConfig()) == screen(data, TestConfig())

@@ -4,6 +4,7 @@ import pytest
 from surrank.errors import (
     AlignmentError,
     ConfigurationError,
+    InsufficientDataError,
     InvalidInputError,
     NoSurrogatesSelectedError,
 )
@@ -148,6 +149,15 @@ def test_screen_flags_flat_candidates():
     assert row.adjusted_p == 1.0
     assert row.degenerate
     assert "flat" not in report.selected
+
+
+def test_screen_needs_two_observations_per_block():
+    unpaired = Dataset.unpaired([1.0], [0.0, 2.0], [[1.0, 3.0]], [[0.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(InsufficientDataError):
+        screen(unpaired, TestConfig())
+    paired = Dataset.paired([1.0], [0.0], [[1.0, 3.0]], [[0.0, 1.0]])
+    with pytest.raises(InsufficientDataError):
+        screen(paired, TestConfig())
 
 
 def test_screen_orders_selection():
