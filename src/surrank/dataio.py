@@ -4,8 +4,11 @@ Input is a response file and a candidates file, both delimited text
 with a header row.  Each row carries a subject id and an arm label
 (unpaired) or a timepoint label (paired); paired files are pivoted on
 the explicit timepoint labels so row order never determines alignment.
-Rows with missing or non-numeric values are rejected with file and line
-context rather than silently dropped.
+Header names are stripped and must be unique and non-empty.  Cells are
+read with Python ``float`` in one pass over each file's value block; a
+file that fails it is rescanned cell by cell, so rows with missing or
+non-numeric values are rejected with file and line context rather than
+silently dropped.
 
 All writers emit full-precision values (``repr`` of the float) so that
 written datasets re-ingest to identical statistics; rounding for human
@@ -17,7 +20,10 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 from scipy.stats import rankdata, spearmanr
@@ -27,7 +33,6 @@ from .inference import SurrogateTestResult
 from .pipeline import CombinedSurrogate, Dataset, ScreeningReport
 from .rankstats import Design
 
-_MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 _MAX_REPORTED_PROBLEMS = 25
 
 
@@ -71,35 +76,58 @@ class IngestSpec:
             raise IngestError(f"group labels must differ, both are {self.group_a!r}")
 
 
-def _parse_cell(text: str | None) -> tuple[float, bool]:
-    if text is None:
-        return math.nan, False
-    stripped = text.strip()
-    if stripped.lower() in _MISSING_TOKENS:
-        return math.nan, False
+def _is_number(text: str) -> bool:
+    """Whether ``float`` reads the cell as a finite value (the rescan test)."""
     try:
-        value = float(stripped)
+        return math.isfinite(float(text))
     except ValueError:
-        return math.nan, False
-    if not math.isfinite(value):
-        return math.nan, False
-    return value, True
+        return False
 
 
 def _read_rows(path: str, delimiter: str | None):
-    """Header fields plus (line number, row dict) pairs."""
+    """Stripped header names, then the line number and the fields of each row.
+
+    Blank lines are skipped.  A row's line number is that of its last
+    physical line, which differs from its first only inside quotes.
+    """
     sep = delimiter if delimiter is not None else default_delimiter(path)
     try:
         handle = open(path, newline="")
     except OSError as err:
         raise IngestError(f"cannot open {path}: {err}") from None
     with handle:
-        reader = csv.DictReader(handle, delimiter=sep, restval=None, restkey="__extra__")
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: file is empty (no header row)")
-        fields = [name.strip() for name in reader.fieldnames if name is not None]
-        rows = [(reader.line_num, row) for row in reader]
-    return fields, rows
+        reader = csv.reader(handle, delimiter=sep)
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}:1: file is empty (no header row)")
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    rows.append(row)
+        except csv.Error as err:
+            raise IngestError(f"{path}:{reader.line_num}: unreadable row ({err})") from None
+        except UnicodeDecodeError as err:
+            # decoding runs ahead of the rows read so far
+            raise IngestError(f"{path}:{reader.line_num + 1}: unreadable text at or after "
+                              f"this line ({err.reason})") from None
+    return [name.strip() for name in header], lines, rows
+
+
+def _check_header(path: str, header: list[str], required) -> None:
+    where = f"{path}:1"
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise IngestError(f"{where}: missing column(s) {', '.join(map(repr, missing))}")
+    blank = [str(j + 1) for j, name in enumerate(header) if not name]
+    if blank:
+        raise IngestError(f"{where}: empty column name at position(s) {', '.join(blank)}")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise IngestError(f"{where}: duplicate column name(s) "
+                          f"{', '.join(map(repr, repeated))}")
 
 
 class _ProblemLog:
@@ -119,25 +147,86 @@ class _ProblemLog:
         raise IngestError("ingestion failed:\n  " + "\n  ".join(shown))
 
 
-def _collect_file(path: str, rows, spec: IngestSpec, value_columns: list[str],
-                  problems: _ProblemLog):
-    """Pivot rows into {(subject, group label): value vector} with diagnostics."""
-    if not rows:
-        raise IngestError(f"{path}: no data rows")
+@dataclass
+class _Table:
+    """One ingested file: its value block and where each (subject, group) row is.
 
-    cells: dict[tuple[str, str], np.ndarray] = {}
-    first_line: dict[tuple[str, str], int] = {}
-    order: list[str] = []
-    for line, row in rows:
+    ``columns`` names the columns of ``block``, and ``index`` maps (subject,
+    group label) to a row of it.  ``subjects`` maps each subject to the line
+    it first appears on, in file order.
+    """
+
+    path: str
+    columns: list[str]
+    index: dict[tuple[str, str], int]
+    subjects: dict[str, int]
+    block: np.ndarray | None
+
+    def take(self, subjects, group: str) -> np.ndarray:
+        """The block rows of ``subjects`` under ``group``, in that order."""
+        return self.block[[self.index[subject, group] for subject in subjects]]
+
+
+def _value_block(path: str, lines, rows, columns, problems: _ProblemLog):
+    """The rows × columns float block, or None after logging each bad row.
+
+    A valid file takes a single ``float`` pass over all of its cells; only
+    a file that fails it is rescanned, cell by cell, to say where.
+    """
+    take = itemgetter(*columns.values())
+    cells = chain.from_iterable(map(take, rows)) if len(columns) > 1 else map(take, rows)
+    try:
+        block = np.fromiter(map(float, cells), float, count=len(rows) * len(columns))
+    except ValueError:
+        block = None
+    if block is not None and np.isfinite(block).all():
+        return block.reshape(len(rows), len(columns))
+    for line, row in zip(lines, rows):
+        for name, j in columns.items():
+            if not _is_number(row[j]):
+                problems.add(f"{path}:{line}: missing or non-numeric value {row[j]!r} "
+                             f"in column {name!r}")
+                break
+    return None
+
+
+def _load(path: str, spec: IngestSpec, response_column: str | None,
+          problems: _ProblemLog) -> _Table:
+    """Read one file and check it row by row; value problems go to ``problems``.
+
+    The response file's one value column is ``response_column``; with None,
+    every column but the subject and group columns is a candidate.
+    """
+    header, lines, rows = _read_rows(path, spec.delimiter)
+    keys = (spec.subject_column, spec.group_column)
+    _check_header(path, header, keys if response_column is None
+                  else (*keys, response_column))
+    if response_column is None:
+        columns = {name: j for j, name in enumerate(header) if name not in keys}
+        if not columns:
+            raise IngestError(f"{path}:1: no candidate columns beyond "
+                              f"{spec.subject_column!r} and {spec.group_column!r}")
+    else:
+        columns = {response_column: header.index(response_column)}
+    if not rows:
+        raise IngestError(f"{path}:1: no data rows")
+
+    subject_at, group_at = map(header.index, keys)
+    index: dict[tuple[str, str], int] = {}
+    subjects: dict[str, int] = {}
+    kept_lines: list[int] = []
+    kept_rows: list[list[str]] = []
+    for line, row in zip(lines, rows):
         where = f"{path}:{line}"
-        if row.get("__extra__") is not None:
-            problems.add(f"{where}: row has more fields than the header")
+        if len(row) != len(header):
+            relation = "more" if len(row) > len(header) else "fewer"
+            problems.add(f"{where}: row has {relation} fields than the header")
             continue
-        subject = (row.get(spec.subject_column) or "").strip()
+        subject = row[subject_at].strip()
         if not subject:
             problems.add(f"{where}: empty {spec.subject_column!r} cell")
             continue
-        group = (row.get(spec.group_column) or "").strip()
+        group = row[group_at].strip()
         if group not in (spec.group_a, spec.group_b):
             problems.add(
                 f"{where}: unknown {spec.group_column!r} label {group!r} "
@@ -145,125 +234,81 @@ def _collect_file(path: str, rows, spec: IngestSpec, value_columns: list[str],
             )
             continue
         key = (subject, group)
-        if key in cells:
+        if key in index:
             problems.add(
                 f"{where}: duplicate entry for subject {subject!r} with "
-                f"{spec.group_column} {group!r} (first seen at line {first_line[key]})"
+                f"{spec.group_column} {group!r} (first seen at line {kept_lines[index[key]]})"
             )
             continue
-        values = np.empty(len(value_columns))
-        ok = True
-        for j, column in enumerate(value_columns):
-            value, numeric = _parse_cell(row.get(column))
-            if not numeric:
-                problems.add(
-                    f"{where}: missing or non-numeric value {row.get(column)!r} "
-                    f"in column {column!r}"
-                )
-                ok = False
-                break
-            values[j] = value
-        if not ok:
-            continue
-        cells[key] = values
-        first_line[key] = line
-        if subject not in order:
-            order.append(subject)
-    return cells, order
+        index[key] = len(kept_rows)
+        subjects.setdefault(subject, line)
+        kept_lines.append(line)
+        kept_rows.append(row)
+    return _Table(path, list(columns), index, subjects,
+                  _value_block(path, kept_lines, kept_rows, columns, problems))
 
 
-def _split_unpaired(path: str, spec: IngestSpec, cells, order, problems: _ProblemLog):
-    """Per-arm subject lists for a one-row-per-subject file."""
+def _arms(table: _Table, spec: IngestSpec, problems: _ProblemLog) -> dict[str, str]:
+    """Each subject's arm in a one-row-per-subject file."""
     arms: dict[str, str] = {}
-    for subject in order:
-        in_a = (subject, spec.group_a) in cells
-        in_b = (subject, spec.group_b) in cells
-        if in_a and in_b:
-            problems.add(f"{path}: subject {subject!r} appears in both arms")
+    for subject, line in table.subjects.items():
+        if (subject, spec.group_a) in table.index and (subject, spec.group_b) in table.index:
+            problems.add(f"{table.path}:{line}: subject {subject!r} appears in both arms")
             continue
-        arms[subject] = spec.group_a if in_a else spec.group_b
+        arms[subject] = spec.group_a if (subject, spec.group_a) in table.index else spec.group_b
     return arms
 
 
 def ingest(spec: IngestSpec) -> Dataset:
     """Load and align the response and candidate files into a Dataset."""
     problems = _ProblemLog()
-    resp_fields, resp_raw = _read_rows(spec.response_path, spec.delimiter)
-    cand_fields, cand_raw = _read_rows(spec.candidates_path, spec.delimiter)
-    for path, fields, required in (
-        (spec.response_path, resp_fields,
-         (spec.subject_column, spec.group_column, spec.response_column)),
-        (spec.candidates_path, cand_fields, (spec.subject_column, spec.group_column)),
-    ):
-        missing = [name for name in required if name not in fields]
-        if missing:
-            raise IngestError(
-                f"{path}: missing column(s) {', '.join(repr(m) for m in missing)}"
-            )
-    names = [f for f in cand_fields
-             if f not in (spec.subject_column, spec.group_column, "__extra__")]
-    if not names:
-        raise IngestError(f"{spec.candidates_path}: no candidate columns beyond "
-                          f"{spec.subject_column!r} and {spec.group_column!r}")
-
-    resp_cells, resp_order = _collect_file(
-        spec.response_path, resp_raw, spec, [spec.response_column], problems
-    )
-    cand_cells, cand_order = _collect_file(
-        spec.candidates_path, cand_raw, spec, names, problems
-    )
+    resp = _load(spec.response_path, spec, spec.response_column, problems)
+    cand = _load(spec.candidates_path, spec, None, problems)
     problems.raise_if_any()
 
-    resp_subjects = {s for s, _ in resp_cells}
-    cand_subjects = {s for s, _ in cand_cells}
-    for subject in sorted(resp_subjects - cand_subjects):
-        problems.add(f"subject {subject!r} is in {spec.response_path} but not "
-                     f"{spec.candidates_path}")
-    for subject in sorted(cand_subjects - resp_subjects):
-        problems.add(f"subject {subject!r} is in {spec.candidates_path} but not "
-                     f"{spec.response_path}")
+    for table, other in ((resp, cand), (cand, resp)):
+        for subject, line in table.subjects.items():
+            if subject not in other.subjects:
+                problems.add(f"{table.path}:{line}: subject {subject!r} is not in {other.path}")
     problems.raise_if_any()
 
     if spec.design == "paired":
-        for subject in resp_order:
-            for cells, path in ((resp_cells, spec.response_path),
-                                (cand_cells, spec.candidates_path)):
-                present = [g for g in (spec.group_a, spec.group_b) if (subject, g) in cells]
+        for table in (resp, cand):
+            for subject, line in table.subjects.items():
+                present = [g for g in (spec.group_a, spec.group_b)
+                           if (subject, g) in table.index]
                 if len(present) != 2:
                     problems.add(
-                        f"{path}: subject {subject!r} has only "
+                        f"{table.path}:{line}: subject {subject!r} has only "
                         f"{spec.group_column} {present[0]!r} (need both "
                         f"{spec.group_a!r} and {spec.group_b!r})"
                     )
         problems.raise_if_any()
-        response_a = np.array([resp_cells[s, spec.group_a][0] for s in resp_order])
-        response_b = np.array([resp_cells[s, spec.group_b][0] for s in resp_order])
-        cands_a = np.array([cand_cells[s, spec.group_a] for s in resp_order])
-        cands_b = np.array([cand_cells[s, spec.group_b] for s in resp_order])
-        return Dataset.paired(response_a, response_b, cands_a, cands_b,
-                              names=names, subject_ids=resp_order)
+        ids = list(resp.subjects)
+        return Dataset.paired(resp.take(ids, spec.group_a)[:, 0],
+                              resp.take(ids, spec.group_b)[:, 0],
+                              cand.take(ids, spec.group_a), cand.take(ids, spec.group_b),
+                              names=cand.columns, subject_ids=ids)
 
-    resp_arms = _split_unpaired(spec.response_path, spec, resp_cells, resp_order, problems)
-    cand_arms = _split_unpaired(spec.candidates_path, spec, cand_cells, cand_order, problems)
+    resp_arms = _arms(resp, spec, problems)
+    cand_arms = _arms(cand, spec, problems)
     problems.raise_if_any()
     for subject, arm in resp_arms.items():
-        if cand_arms.get(subject, arm) != arm:
-            problems.add(f"subject {subject!r} is {arm!r} in {spec.response_path} "
-                         f"but {cand_arms[subject]!r} in {spec.candidates_path}")
+        if cand_arms[subject] != arm:
+            problems.add(f"{cand.path}:{cand.subjects[subject]}: subject {subject!r} is "
+                         f"{arm!r} in {resp.path} but {cand_arms[subject]!r} in {cand.path}")
     problems.raise_if_any()
 
-    ids_a = [s for s in resp_order if resp_arms[s] == spec.group_a]
-    ids_b = [s for s in resp_order if resp_arms[s] == spec.group_b]
+    ids_a = [s for s, arm in resp_arms.items() if arm == spec.group_a]
+    ids_b = [s for s, arm in resp_arms.items() if arm == spec.group_b]
     for label, ids in ((spec.group_a, ids_a), (spec.group_b, ids_b)):
         if not ids:
-            raise IngestError(f"{spec.response_path}: no subjects with "
+            raise IngestError(f"{resp.path}: no subjects with "
                               f"{spec.group_column} {label!r}")
-    response_a = np.array([resp_cells[s, spec.group_a][0] for s in ids_a])
-    response_b = np.array([resp_cells[s, spec.group_b][0] for s in ids_b])
-    cands_a = np.array([cand_cells[s, spec.group_a] for s in ids_a])
-    cands_b = np.array([cand_cells[s, spec.group_b] for s in ids_b])
-    return Dataset.unpaired(response_a, response_b, cands_a, cands_b,
-                            names=names, treated_ids=ids_a, control_ids=ids_b)
+    return Dataset.unpaired(resp.take(ids_a, spec.group_a)[:, 0],
+                            resp.take(ids_b, spec.group_b)[:, 0],
+                            cand.take(ids_a, spec.group_a), cand.take(ids_b, spec.group_b),
+                            names=cand.columns, treated_ids=ids_a, control_ids=ids_b)
 
 
 def _cell(value) -> str:
@@ -276,20 +321,39 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_table(path: str, fieldnames, rows, delimiter: str | None = None) -> None:
-    """Write dict rows as delimited text with full-precision numbers."""
+def _write_rows(path: str, header, rows, delimiter: str | None) -> None:
     sep = delimiter if delimiter is not None else default_delimiter(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=sep, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(row[name]) for name in fieldnames])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _float_rows(labels, block):
+    """Rows of string labels then full-precision floats, with no per-cell dispatch.
+
+    ``repr`` of each float is what ``_cell`` writes for it, so the bytes
+    are those of ``write_table``.
+    """
+    for label, values in zip(labels, np.asarray(block, dtype=float)):
+        yield [*label, *map(repr, values.tolist())]
+
+
+def write_table(path: str, fieldnames, rows, delimiter: str | None = None) -> None:
+    """Write dict rows as delimited text with full-precision numbers."""
+    _write_rows(path, fieldnames, ([_cell(row[name]) for name in fieldnames] for row in rows),
+                delimiter)
 
 
 def read_table(path: str, delimiter: str | None = None):
-    """Header fields and string-valued dict rows of a delimited file."""
-    fields, numbered = _read_rows(path, delimiter)
-    return fields, [row for _, row in numbered]
+    """Header fields and string-valued dict rows of a delimited file.
+
+    A short row maps its missing fields to None; a long row's extra fields
+    are dropped.
+    """
+    header, _, rows = _read_rows(path, delimiter)
+    padding = [None] * len(header)
+    return header, [dict(zip(header, row + padding)) for row in rows]
 
 
 def write_dataset(data: Dataset, response_path: str, candidates_path: str,
@@ -308,29 +372,30 @@ def write_dataset(data: Dataset, response_path: str, candidates_path: str,
 
     blocks = ((spec.group_a, data.ids_a, data.response_a, data.candidates_a),
               (spec.group_b, data.ids_b, data.response_b, data.candidates_b))
-    resp_rows = []
-    cand_rows = []
-    for label, ids, response, candidates in blocks:
-        for i, subject in enumerate(ids):
-            base = {spec.subject_column: subject, spec.group_column: label}
-            resp_rows.append({**base, spec.response_column: response[i]})
-            cand_rows.append({**base, **dict(zip(data.names, candidates[i]))})
-    write_table(response_path,
-                [spec.subject_column, spec.group_column, spec.response_column],
-                resp_rows, spec.delimiter)
-    write_table(candidates_path,
-                [spec.subject_column, spec.group_column, *data.names],
-                cand_rows, spec.delimiter)
+    keys = (spec.subject_column, spec.group_column)
+    _write_rows(response_path, (*keys, spec.response_column),
+                chain.from_iterable(_float_rows(((s, label) for s in ids), response[:, None])
+                                    for label, ids, response, _ in blocks),
+                spec.delimiter)
+    _write_rows(candidates_path, (*keys, *data.names),
+                chain.from_iterable(_float_rows(((s, label) for s in ids), candidates)
+                                    for label, ids, _, candidates in blocks),
+                spec.delimiter)
     return spec
 
 
 SCREENING_FIELDS = ("name", "delta", "ci_lower", "ci_upper", "sigma",
                     "raw_p", "adjusted_p")
+_screening_values = attrgetter(*SCREENING_FIELDS[1:])
+
+
+def _by_evidence(report: ScreeningReport):
+    """Screening rows, candidates with the strongest evidence first."""
+    return sorted(report.rows, key=lambda r: (r.adjusted_p, abs(r.delta), r.name))
 
 
 def screening_rows(report: ScreeningReport):
     """Screening rows as dicts, candidates with the strongest evidence first."""
-    ordered = sorted(report.rows, key=lambda r: (r.adjusted_p, abs(r.delta), r.name))
     return [
         {
             "name": row.name,
@@ -341,13 +406,17 @@ def screening_rows(report: ScreeningReport):
             "raw_p": row.raw_p,
             "adjusted_p": row.adjusted_p,
         }
-        for row in ordered
+        for row in _by_evidence(report)
     ]
 
 
 def write_screening_table(report: ScreeningReport, path: str,
                           delimiter: str | None = None) -> None:
-    write_table(path, SCREENING_FIELDS, screening_rows(report), delimiter)
+    ordered = _by_evidence(report)
+    _write_rows(path, SCREENING_FIELDS,
+                _float_rows([(row.name,) for row in ordered],
+                            [_screening_values(row) for row in ordered]),
+                delimiter)
 
 
 def write_selected(report: ScreeningReport, path: str) -> None:
@@ -403,16 +472,13 @@ def write_evaluation_summary(results: list[tuple[str, SurrogateTestResult]], pat
 def write_volcano(report: ScreeningReport, path: str,
                   delimiter: str | None = None) -> None:
     """Effect size against evidence strength for every candidate."""
+    delta = np.array([row.delta for row in report.rows], dtype=float)
     with np.errstate(divide="ignore"):
-        rows = [
-            {
-                "name": row.name,
-                "delta": row.delta,
-                "neg_log10_adjusted_p": float(-np.log10(row.adjusted_p)),
-            }
-            for row in report.rows
-        ]
-    write_table(path, ("name", "delta", "neg_log10_adjusted_p"), rows, delimiter)
+        strength = -np.log10(np.array([row.adjusted_p for row in report.rows], dtype=float))
+    _write_rows(path, ("name", "delta", "neg_log10_adjusted_p"),
+                _float_rows([(row.name,) for row in report.rows],
+                            np.column_stack([delta, strength])),
+                delimiter)
 
 
 def rank_scatter(response_values: np.ndarray, marker_values: np.ndarray):

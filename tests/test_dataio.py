@@ -272,6 +272,75 @@ def test_missing_columns_and_empty_files_are_rejected(tmp_path):
         ingest(missing)
 
 
+def test_header_names_are_stripped_and_matched_by_position(tmp_path):
+    spec = base_files(
+        tmp_path,
+        resp_lines=(
+            "subject, arm, response\n"
+            "a1,treated,3.0\n"
+            "a2,treated,4.0\n"
+            "b1,control,1.0\n"
+            "b2,control,0.5\n"
+        ),
+        cand_lines=(
+            " subject ,arm ,g1, g2\n"
+            " a1,treated ,1.0,2.0\n"
+            "a2 , treated,1.5,2.5\n"
+            "b1,control,0.1,0.2\n"
+            "b2,control,0.3,0.4\n"
+        ),
+    )
+    data = ingest(spec)
+    assert data.names == ("g1", "g2")
+    assert data.ids_a == ("a1", "a2")
+    assert np.array_equal(data.response_b, [1.0, 0.5])
+    assert np.array_equal(data.candidates_a, [[1.0, 2.0], [1.5, 2.5]])
+
+
+def test_duplicate_column_name_is_one_header_error(tmp_path):
+    spec = base_files(
+        tmp_path,
+        cand_lines=(
+            "subject,arm,g1,g2,g1\n"
+            "a1,treated,1.0,2.0,3.0\n"
+            "a2,treated,1.5,2.5,3.5\n"
+            "b1,control,0.1,0.2,0.3\n"
+            "b2,control,0.3,0.4,0.5\n"
+        ),
+    )
+    with pytest.raises(IngestError, match=r"^\S*cand\.csv:1: duplicate column name\(s\) 'g1'$"):
+        ingest(spec)
+
+
+def test_empty_column_name_is_one_header_error(tmp_path):
+    # a trailing delimiter on every line gives the header an empty last name
+    spec = base_files(
+        tmp_path,
+        cand_lines=(
+            "subject,arm,g1,g2,\n"
+            "a1,treated,1.0,2.0,\n"
+            "a2,treated,1.5,2.5,\n"
+            "b1,control,0.1,0.2,\n"
+            "b2,control,0.3,0.4,\n"
+        ),
+    )
+    with pytest.raises(IngestError,
+                       match=r"^\S*cand\.csv:1: empty column name at position\(s\) 5$"):
+        ingest(spec)
+
+
+def test_unreadable_files_are_ingest_errors(tmp_path):
+    spec = base_files(tmp_path)
+    (tmp_path / "cand.csv").write_bytes(b"subject,arm,g1\na1,treated,\xff\n")
+    with pytest.raises(IngestError, match=r"cand\.csv:\d+: unreadable text"):
+        ingest(spec)
+    # longer than the csv module's field size limit
+    (tmp_path / "cand.csv").write_text("subject,arm,g1\na1,treated,1\n"
+                                       f"b1,control,{'7' * 200_000}\n")
+    with pytest.raises(IngestError, match=r"cand\.csv:3: unreadable row"):
+        ingest(spec)
+
+
 def test_spec_validation():
     with pytest.raises(IngestError, match="design"):
         IngestSpec("r.csv", "c.csv", design="crossover")
