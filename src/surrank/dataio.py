@@ -4,11 +4,11 @@ Input is a response file and a candidates file, both delimited text
 with a header row.  Each row carries a subject id and an arm label
 (unpaired) or a timepoint label (paired); paired files are pivoted on
 the explicit timepoint labels so row order never determines alignment.
-Header names are stripped and must be unique and non-empty.  Cells are
-read with Python ``float`` in one pass over each file's value block; a
-file that fails it is rescanned cell by cell, so rows with missing or
-non-numeric values are rejected with file and line context rather than
-silently dropped.
+Header names are stripped and must be unique and non-empty.  Each file
+is read in one pass of numpy's C reader (``np.loadtxt``); a file that
+fails it is rescanned cell by cell, so rows with missing or non-numeric
+values are rejected with file and line context rather than silently
+dropped.
 
 All writers emit full-precision values (``repr`` of the float) so that
 written datasets re-ingest to identical statistics; rounding for human
@@ -23,7 +23,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 from scipy.stats import rankdata, spearmanr
@@ -77,43 +77,62 @@ class IngestSpec:
 
 
 def _is_number(text: str) -> bool:
-    """Whether ``float`` reads the cell as a finite value (the rescan test)."""
+    """Whether numpy's C reader reads the cell as a finite value (the rescan test).
+
+    It parses what ``float`` parses, except ``_`` digit separators and
+    non-ASCII digits; Unicode whitespace around the number is ignored.
+    """
+    core = text.strip()
+    if not core.isascii() or "_" in core:
+        return False
     try:
-        return math.isfinite(float(text))
+        return math.isfinite(float(core))
     except ValueError:
         return False
 
 
-def _read_rows(path: str, delimiter: str | None):
-    """Stripped header names, then the line number and the fields of each row.
-
-    Blank lines are skipped.  A row's line number is that of its last
-    physical line, which differs from its first only inside quotes.
-    """
-    sep = delimiter if delimiter is not None else default_delimiter(path)
+def _read_lines(path: str) -> list[str]:
+    """The physical lines of a file with their endings, split where ``csv`` splits them."""
     try:
         handle = open(path, newline="")
     except OSError as err:
         raise IngestError(f"cannot open {path}: {err}") from None
+    lines: list[str] = []
     with handle:
-        reader = csv.reader(handle, delimiter=sep)
-        lines: list[int] = []
-        rows: list[list[str]] = []
         try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}:1: file is empty (no header row)")
-            for row in reader:
-                if row:
-                    lines.append(reader.line_num)
-                    rows.append(row)
-        except csv.Error as err:
-            raise IngestError(f"{path}:{reader.line_num}: unreadable row ({err})") from None
+            for line in handle:
+                lines.append(line)
         except UnicodeDecodeError as err:
-            # decoding runs ahead of the rows read so far
-            raise IngestError(f"{path}:{reader.line_num + 1}: unreadable text at or after "
+            # decoding runs ahead of the lines read so far
+            raise IngestError(f"{path}:{len(lines) + 1}: unreadable text at or after "
                               f"this line ({err.reason})") from None
-    return [name.strip() for name in header], lines, rows
+    return lines
+
+
+def _header(path: str, reader) -> list[str]:
+    """The stripped names of the first row of a ``csv.reader``."""
+    try:
+        header = next(reader, None)
+    except csv.Error as err:
+        raise IngestError(f"{path}:{reader.line_num}: unreadable row ({err})") from None
+    if header is None:
+        raise IngestError(f"{path}:1: file is empty (no header row)")
+    return [name.strip() for name in header]
+
+
+def _body_rows(path: str, reader, start: int = 0):
+    """The line number and the fields of each remaining row; blank lines are skipped.
+
+    A row's line number is that of its last physical line, which differs
+    from its first only inside quotes; ``start`` is the number of lines
+    before the first that ``reader`` reads.
+    """
+    try:
+        for row in reader:
+            if row:
+                yield start + reader.line_num, row
+    except csv.Error as err:
+        raise IngestError(f"{path}:{start + reader.line_num}: unreadable row ({err})") from None
 
 
 def _check_header(path: str, header: list[str], required) -> None:
@@ -149,55 +168,103 @@ class _ProblemLog:
 
 @dataclass
 class _Table:
-    """One ingested file: its value block and where each (subject, group) row is.
+    """One ingested file: its block and where each (subject, group) row is.
 
-    ``columns`` names the columns of ``block``, and ``index`` maps (subject,
-    group label) to a row of it.  ``subjects`` maps each subject to the line
-    it first appears on, in file order.
+    ``block`` holds every column of the file, and ``columns`` maps the name
+    of each value column to its position in it.  ``index`` maps (subject,
+    group label) to a row of the block, and ``subjects`` maps each subject
+    to the line it first appears on, in file order.
     """
 
     path: str
-    columns: list[str]
+    columns: dict[str, int]
     index: dict[tuple[str, str], int]
     subjects: dict[str, int]
     block: np.ndarray | None
 
     def take(self, subjects, group: str) -> np.ndarray:
-        """The block rows of ``subjects`` under ``group``, in that order."""
-        return self.block[[self.index[subject, group] for subject in subjects]]
+        """The values of ``subjects`` under ``group``, in that order."""
+        rows = [self.index[subject, group] for subject in subjects]
+        return self.block[np.ix_(rows, list(self.columns.values()))]
 
 
-def _value_block(path: str, lines, rows, columns, problems: _ProblemLog):
-    """The rows × columns float block, or None after logging each bad row.
+def _index_rows(path: str, spec: IngestSpec, numbers: list[int], keys,
+                problems: _ProblemLog) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+    """Check the stripped (subject, group) label pair of each row, in file order.
 
-    A valid file takes a single ``float`` pass over all of its cells; only
-    a file that fails it is rescanned, cell by cell, to say where.
+    ``numbers`` holds the line of each row.  Returns the row of each pair and
+    the first line of each subject; a row with an empty subject, an unknown
+    group label or a pair seen before is logged and left out.
     """
-    take = itemgetter(*columns.values())
-    cells = chain.from_iterable(map(take, rows)) if len(columns) > 1 else map(take, rows)
-    try:
-        block = np.fromiter(map(float, cells), float, count=len(rows) * len(columns))
-    except ValueError:
-        block = None
-    if block is not None and np.isfinite(block).all():
-        return block.reshape(len(rows), len(columns))
-    for line, row in zip(lines, rows):
+    index: dict[tuple[str, str], int] = {}
+    first_lines: dict[str, int] = {}
+    for row, (line, key) in enumerate(zip(numbers, keys)):
+        where = f"{path}:{line}"
+        subject, group = key
+        if not subject:
+            problems.add(f"{where}: empty {spec.subject_column!r} cell")
+        elif group not in (spec.group_a, spec.group_b):
+            problems.add(
+                f"{where}: unknown {spec.group_column!r} label {group!r} "
+                f"(expected {spec.group_a!r} or {spec.group_b!r})"
+            )
+        elif key in index:
+            problems.add(
+                f"{where}: duplicate entry for subject {subject!r} with "
+                f"{spec.group_column} {group!r} (first seen at line {numbers[index[key]]})"
+            )
+        else:
+            index[key] = row
+            first_lines.setdefault(subject, line)
+    return index, first_lines
+
+
+def _rescan(path: str, spec: IngestSpec, rows, header: list[str], columns: dict[str, int],
+            problems: _ProblemLog) -> bool:
+    """Log every problem of the ``csv`` rows of a file that the C reader cannot read.
+
+    Returns whether a row had a width or a value that the C reader rejects.
+    It only reports: a file that reaches it returns no data.
+    """
+    before = len(problems.items)
+    numbers: list[int] = []
+    full: list[list[str]] = []
+    for line, row in rows:
+        if len(row) != len(header):
+            relation = "more" if len(row) > len(header) else "fewer"
+            problems.add(f"{path}:{line}: row has {relation} fields than the header")
+        else:
+            numbers.append(line)
+            full.append(row)
+    unreadable = len(problems.items) > before
+    subject_at, group_at = header.index(spec.subject_column), header.index(spec.group_column)
+    index, _ = _index_rows(path, spec, numbers,
+                           [(row[subject_at].strip(), row[group_at].strip()) for row in full],
+                           problems)
+    for r in index.values():
         for name, j in columns.items():
-            if not _is_number(row[j]):
-                problems.add(f"{path}:{line}: missing or non-numeric value {row[j]!r} "
-                             f"in column {name!r}")
+            if not _is_number(full[r][j]):
+                problems.add(f"{path}:{numbers[r]}: missing or non-numeric value "
+                             f"{full[r][j]!r} in column {name!r}")
+                unreadable = True
                 break
-    return None
+    return unreadable
 
 
 def _load(path: str, spec: IngestSpec, response_column: str | None,
           problems: _ProblemLog) -> _Table:
-    """Read one file and check it row by row; value problems go to ``problems``.
+    """Read one file and check it row by row; row problems go to ``problems``.
 
     The response file's one value column is ``response_column``; with None,
-    every column but the subject and group columns is a candidate.
+    every column but the subject and group columns is a candidate.  All the
+    rows are parsed in one pass of numpy's C reader, with the subject and
+    group labels turned into integer codes as they are read; a file that
+    fails that pass is rescanned with ``csv`` only to say where.
     """
-    header, lines, rows = _read_rows(path, spec.delimiter)
+    sep = spec.delimiter if spec.delimiter is not None else default_delimiter(path)
+    lines = _read_lines(path)
+    reader = csv.reader(lines, delimiter=sep)
+    header = _header(path, reader)
     keys = (spec.subject_column, spec.group_column)
     _check_header(path, header, keys if response_column is None
                   else (*keys, response_column))
@@ -208,44 +275,46 @@ def _load(path: str, spec: IngestSpec, response_column: str | None,
                               f"{spec.subject_column!r} and {spec.group_column!r}")
     else:
         columns = {response_column: header.index(response_column)}
-    if not rows:
+    start = reader.line_num
+    body = lines[start:]
+    # the C reader skips exactly the lines that csv reads as blank
+    numbers = [n for n, line in enumerate(body, start + 1) if line.rstrip("\r\n")]
+    if not numbers:
         raise IngestError(f"{path}:1: no data rows")
 
     subject_at, group_at = map(header.index, keys)
-    index: dict[tuple[str, str], int] = {}
     subjects: dict[str, int] = {}
-    kept_lines: list[int] = []
-    kept_rows: list[list[str]] = []
-    for line, row in zip(lines, rows):
-        where = f"{path}:{line}"
-        if len(row) != len(header):
-            relation = "more" if len(row) > len(header) else "fewer"
-            problems.add(f"{where}: row has {relation} fields than the header")
-            continue
-        subject = row[subject_at].strip()
-        if not subject:
-            problems.add(f"{where}: empty {spec.subject_column!r} cell")
-            continue
-        group = row[group_at].strip()
-        if group not in (spec.group_a, spec.group_b):
-            problems.add(
-                f"{where}: unknown {spec.group_column!r} label {group!r} "
-                f"(expected {spec.group_a!r} or {spec.group_b!r})"
-            )
-            continue
-        key = (subject, group)
-        if key in index:
-            problems.add(
-                f"{where}: duplicate entry for subject {subject!r} with "
-                f"{spec.group_column} {group!r} (first seen at line {kept_lines[index[key]]})"
-            )
-            continue
-        index[key] = len(kept_rows)
-        subjects.setdefault(subject, line)
-        kept_lines.append(line)
-        kept_rows.append(row)
-    return _Table(path, list(columns), index, subjects,
-                  _value_block(path, kept_lines, kept_rows, columns, problems))
+    groups = {spec.group_a: 0, spec.group_b: 1}
+    converters = {j: (lambda text: 0) for j, name in enumerate(header) if name not in columns}
+    converters[subject_at] = lambda text: subjects.setdefault(text.strip(), len(subjects))
+    converters[group_at] = lambda text: groups.setdefault(text.strip(), len(groups))
+    try:
+        # comments=None: the default '#' would cut a row at a label like 's#1';
+        # encoding=None: before numpy 2 the default hands converters bytes
+        block = np.loadtxt(body, delimiter=sep, dtype=float, ndmin=2, quotechar='"',
+                           comments=None, converters=converters, encoding=None)
+    except ValueError as err:
+        failure = str(err)
+    else:
+        if len(block) != len(numbers):
+            # a quoted cell spans lines: csv says which line each row ends on
+            numbers = [line for line, _ in _body_rows(path, csv.reader(body, delimiter=sep),
+                                                      start)]
+        failure = (None if block.shape == (len(numbers), len(header))
+                   and np.isfinite(block).all()
+                   else f"read {block.shape[0]} rows of {block.shape[1]} fields, expected "
+                        f"{len(numbers)} rows of {len(header)} finite values")
+    if failure is not None:
+        rows = _body_rows(path, csv.reader(body, delimiter=sep), start)
+        if not _rescan(path, spec, rows, header, columns, problems):
+            problems.add(f"{path}: {failure}")
+        return _Table(path, columns, {}, {}, None)
+
+    names, labels = list(subjects), list(groups)
+    codes = block[:, [subject_at, group_at]].astype(np.intp).tolist()
+    index, first_lines = _index_rows(path, spec, numbers,
+                                     [(names[s], labels[g]) for s, g in codes], problems)
+    return _Table(path, columns, index, first_lines, block)
 
 
 def _arms(table: _Table, spec: IngestSpec, problems: _ProblemLog) -> dict[str, str]:
@@ -288,7 +357,7 @@ def ingest(spec: IngestSpec) -> Dataset:
         return Dataset.paired(resp.take(ids, spec.group_a)[:, 0],
                               resp.take(ids, spec.group_b)[:, 0],
                               cand.take(ids, spec.group_a), cand.take(ids, spec.group_b),
-                              names=cand.columns, subject_ids=ids)
+                              names=list(cand.columns), subject_ids=ids)
 
     resp_arms = _arms(resp, spec, problems)
     cand_arms = _arms(cand, spec, problems)
@@ -308,7 +377,7 @@ def ingest(spec: IngestSpec) -> Dataset:
     return Dataset.unpaired(resp.take(ids_a, spec.group_a)[:, 0],
                             resp.take(ids_b, spec.group_b)[:, 0],
                             cand.take(ids_a, spec.group_a), cand.take(ids_b, spec.group_b),
-                            names=cand.columns, treated_ids=ids_a, control_ids=ids_b)
+                            names=list(cand.columns), treated_ids=ids_a, control_ids=ids_b)
 
 
 def _cell(value) -> str:
@@ -351,9 +420,11 @@ def read_table(path: str, delimiter: str | None = None):
     A short row maps its missing fields to None; a long row's extra fields
     are dropped.
     """
-    header, _, rows = _read_rows(path, delimiter)
+    sep = delimiter if delimiter is not None else default_delimiter(path)
+    reader = csv.reader(_read_lines(path), delimiter=sep)
+    header = _header(path, reader)
     padding = [None] * len(header)
-    return header, [dict(zip(header, row + padding)) for row in rows]
+    return header, [dict(zip(header, row + padding)) for _, row in _body_rows(path, reader)]
 
 
 def write_dataset(data: Dataset, response_path: str, candidates_path: str,

@@ -1,8 +1,11 @@
 """Tests for delimited-text ingestion and report emission."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from surrank import dataio
 from surrank.dataio import (
     IngestSpec,
     default_delimiter,
@@ -339,6 +342,181 @@ def test_unreadable_files_are_ingest_errors(tmp_path):
                                        f"b1,control,{'7' * 200_000}\n")
     with pytest.raises(IngestError, match=r"cand\.csv:3: unreadable row"):
         ingest(spec)
+
+
+def test_hash_in_labels_and_names_is_not_a_comment(tmp_path):
+    spec = base_files(
+        tmp_path,
+        resp_lines=(
+            "subject,arm,response\n"
+            "s#1,treated,3.0\n"
+            "a2,treated,4.0\n"
+            "b1,control,1.0\n"
+            "b#2,control,0.5\n"
+        ),
+        cand_lines=(
+            "subject,arm,g1,gene#2\n"
+            "s#1,treated,1.0,2.0\n"
+            "a2,treated,1.5,2.5\n"
+            "b1,control,0.1,0.2\n"
+            "b#2,control,0.3,0.4\n"
+        ),
+    )
+    data = ingest(spec)
+    assert data.names == ("g1", "gene#2")
+    assert data.ids_a == ("s#1", "a2")
+    assert data.ids_b == ("b1", "b#2")
+    assert np.array_equal(data.response_a, [3.0, 4.0])
+    assert np.array_equal(data.candidates_a, [[1.0, 2.0], [1.5, 2.5]])
+    assert np.array_equal(data.candidates_b, [[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("token", ["1_000", "١"])
+@pytest.mark.parametrize("in_candidates", [False, True])
+def test_digit_separators_and_non_ascii_digits_are_rejected(tmp_path, token, in_candidates):
+    # Python's float reads both; numpy's C reader reads neither
+    spec = base_files(tmp_path)
+    target, column = ("cand", "g2") if in_candidates else ("resp", "response")
+    path = tmp_path / f"{target}.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + token
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError) as excinfo:
+        ingest(spec)
+    assert (f"{path}:4: missing or non-numeric value {token!r} in column {column!r}"
+            in str(excinfo.value))
+
+
+def test_c_reader_failure_without_a_located_problem_is_still_an_ingest_error(
+        tmp_path, monkeypatch):
+    # a rescan that finds nothing must not let the file through
+    monkeypatch.setattr(dataio, "_is_number", lambda text: True)
+    spec = base_files(tmp_path, cand_lines=("subject,arm,g1,g2\n"
+                                            "a1,treated,1.0,2.0\n"
+                                            "a2,treated,1_5,2.5\n"
+                                            "b1,control,0.1,0.2\n"
+                                            "b2,control,0.3,0.4\n"))
+    with pytest.raises(IngestError, match=r"\n  \S*cand\.csv: could not convert string '1_5'"):
+        ingest(spec)
+
+
+@pytest.mark.parametrize("relation", ["more", "fewer"])
+@pytest.mark.parametrize("target", ["resp", "cand"])
+def test_every_row_wider_or_narrower_than_the_header_is_reported(tmp_path, relation,
+                                                                 target):
+    spec = base_files(tmp_path)
+    path = tmp_path / f"{target}.csv"
+    header, *rows = path.read_text().splitlines()
+    # every row has the same width, so only the header tells them apart
+    rows = [row + ",9.0" if relation == "more" else row.rsplit(",", 1)[0] for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(IngestError) as excinfo:
+        ingest(spec)
+    message = str(excinfo.value)
+    for line in range(2, len(rows) + 2):
+        assert f"{path}:{line}: row has {relation} fields than the header" in message
+
+
+@pytest.mark.parametrize("text", ["", "subject,arm,g1,g2\n", "subject,arm,g1,g2\r\n\r\n\n"])
+def test_empty_or_header_only_file_fails_at_line_one_without_a_warning(tmp_path, text):
+    spec = base_files(tmp_path, cand_lines=text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestError, match=r"^\S*cand\.csv:1: "):
+            ingest(spec)
+
+
+def test_line_break_inside_a_quoted_cell_is_read_and_later_lines_keep_their_numbers(
+        tmp_path):
+    resp_lines = ('subject,arm,response\n'
+                  'a1,treated,3.0\n'
+                  '"a\n2",treated,4.0\n'
+                  'b1,control,1.0\n'
+                  'b2,control,0.5\n')
+    cand_lines = ('subject,arm,g1,g2\n'
+                  'a1,treated,1.0,2.0\n'
+                  '"a\n2",treated,"1.5\n",2.5\n'
+                  'b1,control,0.1,0.2\n'
+                  'b2,control,0.3,0.4\n')
+    spec = base_files(tmp_path, cand_lines, resp_lines)
+    data = ingest(spec)
+    assert data.ids_a == ("a1", "a\n2")
+    assert np.array_equal(data.response_a, [3.0, 4.0])
+    assert np.array_equal(data.candidates_a, [[1.0, 2.0], [1.5, 2.5]])
+
+    # a row's line is the last physical line it reaches, in both passes
+    base_files(tmp_path, cand_lines.replace("0.3,0.4", "0.3,oops"), resp_lines)
+    with pytest.raises(IngestError,
+                       match=r"cand\.csv:7: missing or non-numeric value 'oops' in column 'g2'"):
+        ingest(spec)
+    base_files(tmp_path, cand_lines.replace("b2,", "zz,"), resp_lines)
+    with pytest.raises(IngestError,
+                       match=r"cand\.csv:7: subject 'zz' is not in \S*resp\.csv"):
+        ingest(spec)
+
+
+def test_labels_reach_the_converters_as_text_under_numpy_1_defaults(tmp_path, monkeypatch):
+    # before numpy 2, loadtxt's default encoding='bytes' handed converters latin-1 bytes
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, encoding="bytes", **kwargs:
+                        loadtxt(*args, encoding=encoding, **kwargs))
+    resp_lines = ("subject,arm,response\n"
+                  "被験者1,treated,3.0\n"
+                  "a2,treated,4.0\n"
+                  "b1,control,1.0\n"
+                  "b2,control,0.5\n")
+    cand_lines = resp_lines.replace("response", "g1")
+    data = ingest(base_files(tmp_path, cand_lines, resp_lines))
+    assert data.ids_a == ("被験者1", "a2")
+    assert np.array_equal(data.candidates_a[:, 0], data.response_a)
+
+
+def test_a_file_the_c_reader_rejects_reports_every_row_problem_at_once(tmp_path):
+    spec = base_files(tmp_path, cand_lines=("subject,arm,g1,g2\n"
+                                            "a1,treated,1.0,2.0\n"
+                                            "a2,treated,oops,2.5\n"
+                                            ",treated,1.0,2.0\n"
+                                            "b1,placebo,0.1,0.2\n"
+                                            "b2,control,0.3,0.4\n"
+                                            "b2,control,0.3\n"
+                                            "a1,treated,1.0,2.0\n"))
+    with pytest.raises(IngestError) as excinfo:
+        ingest(spec)
+    path, message = spec.candidates_path, str(excinfo.value)
+    for problem in (f"{path}:3: missing or non-numeric value 'oops' in column 'g1'",
+                    f"{path}:4: empty 'subject' cell",
+                    f"{path}:5: unknown 'arm' label 'placebo'",
+                    f"{path}:7: row has fewer fields than the header",
+                    f"{path}:8: duplicate entry for subject 'a1' with arm 'treated' "
+                    f"(first seen at line 2)"):
+        assert problem in message
+
+
+def test_blank_lines_crlf_and_quotes_keep_values_and_line_numbers(tmp_path):
+    data = awkward_dataset("unpaired")
+    plain = write_dataset(data, str(tmp_path / "resp.csv"), str(tmp_path / "cand.csv"))
+    header, *rows = (tmp_path / "cand.csv").read_text().splitlines()
+    quoted = ['"' + row.replace(",", '","') + '"' for row in rows]
+    # data rows 1-4 on lines 2-5, a blank line 6, data row k + 1 on line k + 3 after it
+    lines = [header, *quoted[:4], "", *quoted[4:]]
+    fancy = tmp_path / "fancy.csv"
+    fancy.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    spec = IngestSpec(plain.response_path, str(fancy))
+
+    back, expected = ingest(spec), ingest(plain)
+    assert back.names == expected.names
+    assert (back.ids_a, back.ids_b) == (expected.ids_a, expected.ids_b)
+    for name in ("response_a", "response_b", "candidates_a", "candidates_b"):
+        assert getattr(back, name).tobytes() == getattr(expected, name).tobytes()
+
+    k = 7
+    subject = rows[k].split(",")[0]
+    lines[k + 2] = lines[k + 2].replace(f'"{subject}"', '"renamed"')
+    fancy.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(IngestError) as excinfo:
+        ingest(spec)
+    assert f"{fancy}:{k + 3}: subject 'renamed' is not in {plain.response_path}" in str(
+        excinfo.value)
 
 
 def test_spec_validation():

@@ -1,7 +1,7 @@
 """Property and fuzz tests for ``ingest``.
 
-Valid cells must read back exactly as Python ``float`` reads them, in any
-of the spellings a file may use.  Malformed files must fail as one
+Valid cells must read back bit for bit as the values written, in any of
+the spellings a file may use.  Malformed files must fail as one
 ``IngestError`` whose problems each name a file and a line, never as a raw
 exception.
 """
