@@ -47,7 +47,6 @@ from .rankstats import (
     PairedSample,
     TwoArmSample,
     UEstimate,
-    delta_hat,
     g_kernel,
     normal_cdf,
     normal_quantile,
@@ -111,7 +110,6 @@ __all__ = [
     "adjust",
     "calibrate_sigma_valid",
     "combine",
-    "delta_hat",
     "delta_variance_paired",
     "delta_variance_unpaired",
     "estimate_valid_strength",

@@ -4,7 +4,11 @@ The treatment effect on a variable is measured on the probability scale,
 P(X^1 > X^0) + 0.5 * P(X^1 = X^0), and estimated by averaging the pairwise
 win/tie kernel over all treated-control pairs (independent two-arm design)
 or over within-unit pairs (paired design).  Ties contribute exactly 1/2
-through the kernel; no midrank machinery is involved.
+through the kernel.  The unpaired kernel sorts each pooled row once and
+cuts the sorted row into runs of equal values; every observation scores
+the other arm's entries below its run plus half of those inside it (the
+midrank construction of Sun & Xu, 2014), so the order in which the sort
+leaves equal values cannot change a count.
 
 Each design has one kernel, :func:`_placements`, which works on whole
 blocks of variables at once and returns every observation's kernel sum
@@ -109,23 +113,6 @@ def g_kernel(a: float, b: float) -> float:
     return 0.0
 
 
-def _others_before(pooled: np.ndarray, n_first: int) -> np.ndarray:
-    """Per entry, how many entries of the other block precede it in its row.
-
-    The first ``n_first`` columns form the first block.  The sort is
-    stable, so a first-block entry counts the strictly smaller entries of
-    the second block, and a second-block entry the first-block entries at
-    or below it.
-    """
-    order = np.argsort(pooled, axis=1, kind="stable")
-    from_first = order < n_first
-    first_seen = np.cumsum(from_first, axis=1)
-    before = np.where(from_first, np.arange(1, pooled.shape[1] + 1) - first_seen, first_seen)
-    out = np.empty_like(before)
-    out[np.arange(pooled.shape[0])[:, None], order] = before
-    return out
-
-
 @dataclass(frozen=True)
 class _Placements:
     """Kernel sums of every observation against its partners, one row per variable.
@@ -134,17 +121,15 @@ class _Placements:
     summed over that observation's ``partners`` comparisons: unpaired, the
     treated arm against all controls and all treated against each control;
     paired, the unit's own (post, pre) kernel.  Entries are multiples of
-    1/2, so their sums are exact.  ``ties`` counts tied comparisons per row.
+    1/2, so their sums are exact.  ``sizes`` gives each side's observation
+    count and ``ties`` the tied comparisons per row.
     """
 
     design: Design
     counts: tuple[np.ndarray, ...]
     partners: tuple[int, ...]
+    sizes: tuple[int, ...]
     ties: np.ndarray
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(side.shape[1] for side in self.counts)
 
     @property
     def comparisons(self) -> int:
@@ -156,8 +141,9 @@ class _Placements:
         return self.counts[0].sum(axis=1) / self.comparisons
 
     def estimate(self, row: int) -> UEstimate:
-        return UEstimate(float(self.u[row]), self.design,
-                         float(self.ties[row] / self.comparisons))
+        comparisons = self.comparisons
+        return UEstimate(float(self.counts[0][row].sum() / comparisons), self.design,
+                         float(self.ties[row] / comparisons))
 
 
 def _placements(design: Design, a: np.ndarray, b: np.ndarray) -> _Placements:
@@ -169,18 +155,44 @@ def _placements(design: Design, a: np.ndarray, b: np.ndarray) -> _Placements:
     if design == "paired":
         post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         ties = post == pre
-        return _Placements(design, ((post > pre) + 0.5 * ties,), (1,), ties.sum(axis=1))
+        return _Placements(design, ((post > pre) + 0.5 * ties,), (1,), (post.shape[1],),
+                           ties.sum(axis=1))
     (n_a, k), n_b = a.shape, b.shape[0]
+    n = n_a + n_b
     pooled = np.concatenate([a.T, b.T], axis=1)
-    # rows below k count upward (treated: #control < it; control: #treated <= it),
-    # rows from k, on the negated values, downward (#control > it; #treated >= it)
-    counted = _others_before(np.concatenate([pooled, -pooled]), n_a)
-    below, above = counted[:k], counted[k:]
-    net = below - above
-    treated = 0.5 * (n_b + net[:, :n_a])
-    control = 0.5 * (n_a - net[:, n_a:])
-    ties = n_a * n_b - (below[:, :n_a] + above[:, :n_a]).sum(axis=1)
-    return _Placements(design, (treated, control), (n_b, n_a), ties)
+    order = np.argsort(pooled, axis=1)
+    rows = np.arange(k)[:, None]
+    ordered = pooled[rows, order]
+    # a tie run starts at each row's first entry and wherever the sorted value
+    # changes; runs are numbered from 1 across all rows, and run r spans
+    # bounds[r - 1]:bounds[r], the last bound being k * n
+    flags = np.ones(k * n + 1, dtype=bool)
+    starts = flags[:-1].reshape(k, n)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts)
+    bounds = np.flatnonzero(flags)
+    treated_before = np.zeros(k * n + 1, dtype=np.intp)
+    np.cumsum(order < n_a, out=treated_before[1:])
+    a_at = treated_before[bounds]
+    b_at = bounds - a_at
+    # a treated entry scores the controls below its run plus half those in it,
+    # (b_at[r - 1] + b_at[r]) / 2, and a control entry the treated above its run
+    # plus half those in it, n_a - (a_at[r - 1] + a_at[r]) / 2; both counts start
+    # at row i with i * n_b controls and i * n_a treated before them
+    treated_run, control_run = np.zeros(bounds.size), np.zeros(bounds.size)
+    np.add(b_at[:-1], b_at[1:], out=treated_run[1:])
+    np.add(a_at[:-1], a_at[1:], out=control_run[1:])
+    treated_run *= 0.5
+    control_run *= -0.5
+    run_of = np.empty((k, n), dtype=np.intp)
+    run_of[rows, order] = run.reshape(k, n)
+    treated = treated_run[run_of[:, :n_a]]
+    treated -= n_b * rows
+    control = control_run[run_of[:, n_a:]]
+    control += n_a * (rows + 1)
+    tied = (a_at[1:] - a_at[:-1]) * (b_at[1:] - b_at[:-1])
+    ties = np.add.reduceat(tied, run[::n] - 1)
+    return _Placements(design, (treated, control), (n_b, n_a), (n_a, n_b), ties)
 
 
 def _sample(design: Design, values_a, values_b):
@@ -226,13 +238,6 @@ def u_statistic_paired(sample: PairedSample) -> UEstimate:
     return _placements("paired", sample.post[:, None], sample.pre[:, None]).estimate(0)
 
 
-def delta_hat(u_y: UEstimate, u_s: UEstimate) -> float:
-    """Gap between the treatment effect on the response and on a candidate."""
-    if u_y.design != u_s.design:
-        raise AlignmentError("cannot mix unpaired and paired estimates")
-    return u_y.value - u_s.value
-
-
 def normal_cdf(z) -> float | np.ndarray:
     """Standard normal distribution function."""
     z = np.asarray(z, dtype=float)
@@ -244,10 +249,10 @@ def normal_cdf(z) -> float | np.ndarray:
 
 def normal_quantile(p) -> float | np.ndarray:
     """Inverse of :func:`normal_cdf`; defined only on the open interval (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    # ndtri is finite exactly inside (0, 1): -inf at 0, inf at 1, NaN beyond or on NaN
+    out = ndtri(np.asarray(p, dtype=float))
+    if not np.isfinite(out).all():
         raise InvalidInputError("normal_quantile requires probabilities strictly inside (0, 1)")
-    out = ndtri(p)
     return float(out) if out.ndim == 0 else out
 
 

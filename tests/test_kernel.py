@@ -9,12 +9,13 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given
 
 from surrank import pipeline
 from surrank.inference import TestConfig, surrogate_test
 from surrank.pipeline import Dataset, screen
-from surrank.rankstats import g_kernel, u_statistic_paired, u_statistic_unpaired
+from surrank.rankstats import _placements, g_kernel, u_statistic_paired, u_statistic_unpaired
 
 
 @st.composite
@@ -128,3 +129,65 @@ def test_increasing_transforms_leave_screen_unchanged(data):
                           2.0 ** data.candidates_a, 2.0 ** data.candidates_b,
                           data.names, data.ids_a, data.ids_b)
     assert screen(transformed, TestConfig()) == screen(data, TestConfig())
+
+
+def blocks(data):
+    """The kernel blocks ``screen`` builds: the response, then every candidate."""
+    return (np.column_stack([data.response_a, data.candidates_a]),
+            np.column_stack([data.response_b, data.candidates_b]))
+
+
+@given(studies(), st.randoms(use_true_random=False))
+def test_permuting_subjects_moves_their_counts_and_keeps_every_row(data, random):
+    # unpaired, subjects move within their arm; paired, whole units move
+    perm_a = list(range(data.n_a))
+    random.shuffle(perm_a)
+    perm_b = perm_a if data.design == "paired" else random.sample(range(data.n_b), data.n_b)
+    moved = Dataset(data.design, data.response_a[perm_a], data.response_b[perm_b],
+                    data.candidates_a[perm_a], data.candidates_b[perm_b], data.names,
+                    [data.ids_a[i] for i in perm_a], [data.ids_b[i] for i in perm_b])
+    before, after = _placements(data.design, *blocks(data)), _placements(data.design, *blocks(moved))
+    for side_before, side_after, perm in zip(before.counts, after.counts, (perm_a, perm_b)):
+        assert np.array_equal(side_after, side_before[:, perm])
+    assert np.array_equal(after.ties, before.ties)
+
+    report, permuted = screen(data, TestConfig()), screen(moved, TestConfig())
+    assert (permuted.u_response, permuted.epsilon_used, permuted.selected) == (
+        report.u_response, report.epsilon_used, report.selected)
+    for row, other in zip(report.rows, permuted.rows):
+        assert (other.name, other.u_candidate, other.delta, other.degenerate) == (
+            row.name, row.u_candidate, row.delta, row.degenerate)
+        # np.var sums the structural components in subject order, so sigma and
+        # what derives from it may move in the last bits, never more
+        assert other.sigma == pytest.approx(row.sigma, rel=1e-15, abs=0.0)
+        assert (other.ci_lower, other.ci_upper) == pytest.approx((row.ci_lower, row.ci_upper),
+                                                                 rel=0.0, abs=1e-15)
+        assert (other.raw_p, other.adjusted_p) == pytest.approx((row.raw_p, row.adjusted_p),
+                                                                rel=1e-13, abs=0.0)
+
+
+TINY, HUGE = 5e-324, np.finfo(float).max
+EDGE_CASES = {
+    "signed zeros": ([-0.0, 0.0, 1.0, -0.0], [0.0, -0.0, -1.0]),
+    "one tie run": ([2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]),
+    "one treated observation": ([0.5], [0.1, 0.5, 0.9, 0.5]),
+    "one control observation": ([0.1, 0.5, 0.9, 0.5], [0.5]),
+    "one observation per arm": ([3.0], [3.0]),
+    "near the largest doubles": ([HUGE, -1e308, 1e308, 0.0], [-HUGE, 1e308, HUGE, -1e308]),
+    "subnormals": ([TINY, -TINY, 1e-310, 0.0], [0.0, TINY, -0.0, 2.2250738585072014e-308, -TINY]),
+}
+
+
+@pytest.mark.parametrize("treated, control", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_kernel_counts_equal_brute_force_on_edge_cases(treated, control):
+    # the case column, then its reverse, so the second row's offsets are checked too
+    a = np.column_stack([treated, treated[::-1]])
+    b = np.column_stack([control, control[::-1]])
+    placements = _placements("unpaired", a, b)
+    treated_counts, control_counts = placements.counts
+    for row in range(2):
+        x, y = a[:, row], b[:, row]
+        assert treated_counts[row].tolist() == [sum(g_kernel(t, c) for c in y) for t in x]
+        assert control_counts[row].tolist() == [sum(g_kernel(t, c) for t in x) for c in y]
+        assert placements.ties[row] == sum(t == c for t in x for c in y)
+        assert placements.estimate(row).value == brute_force_u("unpaired", x, y)

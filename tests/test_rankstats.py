@@ -147,6 +147,8 @@ def test_normal_quantile_roundtrip():
 
 
 def test_normal_quantile_domain():
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, np.nan, [0.5, 1.0]):
         with pytest.raises(InvalidInputError):
             normal_quantile(bad)
+    # the open interval holds right up to its ends
+    assert np.isfinite(normal_quantile([5e-324, np.nextafter(1.0, 0.0)])).all()
