@@ -25,7 +25,6 @@ from .inference import (
     TestConfig,
     select_epsilon,
     surrogate_test,
-    surrogate_test_from_estimates,
 )
 from .multitest import AdjustedPValues, Method, adjust
 from .pipeline import (
@@ -66,13 +65,7 @@ from .simulate import (
     run_evaluation_experiment,
     run_screening_experiment,
 )
-from .variance import (
-    DeltaVariance,
-    delta_variance_paired,
-    delta_variance_unpaired,
-    null_u_variance,
-    paired_kernel_differences,
-)
+from .variance import null_u_variance
 
 __version__ = "0.1.0"
 
@@ -83,7 +76,6 @@ __all__ = [
     "ConfigurationError",
     "DataError",
     "Dataset",
-    "DeltaVariance",
     "Design",
     "DgpConfig",
     "EvaluationExperiment",
@@ -110,8 +102,6 @@ __all__ = [
     "adjust",
     "calibrate_sigma_valid",
     "combine",
-    "delta_variance_paired",
-    "delta_variance_unpaired",
     "estimate_valid_strength",
     "evaluate",
     "g_kernel",
@@ -119,7 +109,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "null_u_variance",
-    "paired_kernel_differences",
     "response_effect",
     "run_evaluation_experiment",
     "run_pipeline",
@@ -128,7 +117,6 @@ __all__ = [
     "select_epsilon",
     "split",
     "surrogate_test",
-    "surrogate_test_from_estimates",
     "u_statistic_paired",
     "u_statistic_unpaired",
     "weight_floor",

@@ -14,7 +14,6 @@ for any long flag of the subcommand; explicit flags take precedence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -22,9 +21,9 @@ import numpy as np
 
 from .dataio import (
     IngestSpec,
+    _read_weights,
     format_screening_table,
     ingest,
-    read_table,
     write_evaluation_summary,
     write_rank_scatter,
     write_screening_table,
@@ -33,7 +32,7 @@ from .dataio import (
     write_volcano,
     write_weights,
 )
-from .errors import DataError, IngestError, NumericError, SurrankError, UsageError
+from .errors import DataError, NumericError, SurrankError, UsageError
 from .inference import TestConfig, surrogate_test
 from .multitest import Method
 from .pipeline import Dataset, _combined_marker, evaluate, run_pipeline, screen
@@ -43,7 +42,6 @@ from .simulate import DgpConfig, run_evaluation_experiment, run_screening_experi
 _MODES = {"noninf": "noninferiority", "tost": "tost"}
 _DEFAULT_POWER = 0.90
 _EVALUATION_SIM_POWER = 0.80
-_TOP_MARKERS = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,29 +233,6 @@ def _method(args) -> Method | None:
     return None if args.correction == "none" else args.correction
 
 
-def _read_weights(path: str, data: Dataset):
-    fields, rows = read_table(path)
-    for column in ("name", "weight"):
-        if column not in fields:
-            raise IngestError(f"{path}: missing column {column!r}")
-    if not rows:
-        raise IngestError(f"{path}: no data rows")
-    names = []
-    weights = []
-    for row in rows:
-        name = row["name"]
-        if name not in data._columns:
-            raise IngestError(f"{path}: unknown candidate {name!r}")
-        try:
-            weight = float(row["weight"])
-        except (TypeError, ValueError):
-            raise IngestError(f"{path}: non-numeric weight {row['weight']!r} "
-                              f"for {name!r}") from None
-        names.append(name)
-        weights.append(weight)
-    return names, np.asarray(weights)
-
-
 def _write_scatter(args, data: Dataset, gamma, path: str) -> float:
     """Rank-scatter table of the response against a marker aligned with ``data``."""
     spec = _spec(args)
@@ -319,42 +294,28 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_rise(args) -> int:
     data = ingest(_spec(args))
-    config = _config(args)
     result = run_pipeline(data, ratio=args.split_ratio, seed=args.seed,
-                          config=config, method=_method(args))
-
-    evaluation_rows = [("gamma", result.evaluation)]
-    member_config = dataclasses.replace(config, epsilon=result.evaluation.epsilon)
-    eval_data = result.evaluation_data
-    for name in result.screening.selected[:_TOP_MARKERS]:
-        member_result = surrogate_test(eval_data.response_sample(),
-                                       eval_data.candidate_sample(name), member_config)
-        evaluation_rows.append((name, member_result))
-
+                          config=_config(args), method=_method(args))
     os.makedirs(args.out, exist_ok=True)
-    paths = {
-        "screening": os.path.join(args.out, "screening.csv"),
-        "selected": os.path.join(args.out, "selected.txt"),
-        "weights": os.path.join(args.out, "weights.csv"),
-        "evaluation": os.path.join(args.out, "evaluation.csv"),
-        "volcano": os.path.join(args.out, "volcano.csv"),
-        "scatter": os.path.join(args.out, "scatter.csv"),
-    }
+    paths = {name.split(".")[0]: os.path.join(args.out, name)
+             for name in ("screening.csv", "selected.txt", "weights.csv", "evaluation.csv",
+                          "volcano.csv", "scatter.csv")}
     write_screening_table(result.screening, paths["screening"])
     write_selected(result.screening, paths["selected"])
     write_weights(result.combined, paths["weights"])
-    write_evaluation_summary(evaluation_rows, paths["evaluation"])
+    write_evaluation_summary([("gamma", result.evaluation), *result.members],
+                             paths["evaluation"])
     write_volcano(result.screening, paths["volcano"])
 
-    rho = _write_scatter(args, eval_data, result.gamma, paths["scatter"])
+    rho = _write_scatter(args, result.evaluation_data, result.gamma, paths["scatter"])
 
     print(f"screening: u_response={result.screening.u_response:.6g} "
           f"epsilon={result.screening.epsilon_used:.6g} "
           f"selected {len(result.screening.selected)} of {data.p} candidates")
-    _print_results(evaluation_rows[:1])
+    _print_results([("gamma", result.evaluation)])
     print(f"spearman_rho {rho!r}")
-    for label in ("screening", "selected", "weights", "evaluation", "volcano", "scatter"):
-        print(f"wrote {paths[label]}")
+    for path in paths.values():
+        print(f"wrote {path}")
     return 0
 
 

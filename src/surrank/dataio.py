@@ -427,6 +427,38 @@ def read_table(path: str, delimiter: str | None = None):
     return header, [dict(zip(header, row + padding)) for _, row in _body_rows(path, reader)]
 
 
+def _read_weights(path: str, data: Dataset):
+    """Member names and weights from a table with name and weight columns.
+
+    Each name must be a candidate of ``data``, listed once, with a positive
+    finite weight as :class:`CombinedSurrogate` requires; the first row that
+    breaks this is reported with its line.
+    """
+    reader = csv.reader(_read_lines(path), delimiter=default_delimiter(path))
+    header = _header(path, reader)
+    for column in ("name", "weight"):
+        if column not in header:
+            raise IngestError(f"{path}: missing column {column!r}")
+    weights = {}
+    for line, row in _body_rows(path, reader):
+        fields = dict(zip(header, row + [None] * len(header)))
+        name, cell = fields["name"], fields["weight"]
+        try:
+            weight = float(cell)
+        except (TypeError, ValueError):
+            weight = np.nan
+        problem = ("is not in the candidates file" if name not in data._columns
+                   else "is listed twice" if name in weights
+                   else None if np.isfinite(weight) and weight > 0.0
+                   else f"has weight {cell!r}, not a positive finite number")
+        if problem:
+            raise IngestError(f"{path}:{line}: candidate {name!r} {problem}")
+        weights[name] = weight
+    if not weights:
+        raise IngestError(f"{path}: no data rows")
+    return list(weights), np.array(list(weights.values()))
+
+
 def write_dataset(data: Dataset, response_path: str, candidates_path: str,
                   spec: IngestSpec | None = None) -> IngestSpec:
     """Emit a Dataset in the ingestible two-file layout.

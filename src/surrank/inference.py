@@ -8,6 +8,10 @@ rejects H0: delta <= -epsilon, guarding against candidates that overstate
 the effect.  The margin can be fixed by the caller or derived from the
 response effect and the study size so that the test retains a target
 power against a completely uninformative candidate.
+
+:func:`_assemble` is the one place the test is put together, for arrays of
+gaps that share a margin; :func:`surrogate_test` is the one-column case of
+the path ``screen`` takes (``_gaps``, ``_margin``, ``_assemble``).
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
-from .rankstats import UEstimate, _placements, _stack, normal_cdf, normal_quantile
-from .variance import DeltaVariance, _delta_variance, null_u_variance
+from .errors import ConfigurationError
+from .rankstats import UEstimate, _stack, normal_cdf, normal_quantile
+from .variance import _gaps, null_u_variance
 
 Mode = Literal["noninferiority", "tost"]
 
@@ -142,25 +146,19 @@ def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon: float, alpha: float
     }
 
 
-def surrogate_test_from_estimates(u_response: UEstimate, u_candidate: UEstimate,
-                                  variance: DeltaVariance, epsilon: float,
-                                  *, alpha: float = 0.05, mode: Mode = "noninferiority",
-                                  ) -> SurrogateTestResult:
-    """Assemble the test from precomputed estimates (see :func:`_assemble`)."""
-    if u_response.design != u_candidate.design or u_response.design != variance.design:
-        raise AlignmentError("estimates and variance must share one design")
-    delta = u_response.value - u_candidate.value
-    test = _assemble(np.array([delta]), np.array([variance.sigma]), epsilon, alpha, mode)
-    return SurrogateTestResult(
-        u_response=u_response.value,
-        u_candidate=u_candidate.value,
-        delta=delta,
-        sigma=variance.sigma,
-        epsilon=epsilon,
-        alpha=alpha,
-        mode=mode,
-        **{key: None if value is None else float(value[0]) for key, value in test.items()},
-        degenerate=variance.degenerate,
+def _results(u_response: UEstimate, u_candidate: np.ndarray, sigma: np.ndarray,
+             epsilon: float, config: TestConfig) -> tuple[SurrogateTestResult, ...]:
+    """One result per candidate, from :func:`_gaps` output and a shared margin."""
+    delta = u_response.value - u_candidate
+    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
+    p_lower = [None] * delta.size if test["p_lower"] is None else test["p_lower"].tolist()
+    return tuple(
+        SurrogateTestResult(u_response.value, u, d, s, epsilon, config.alpha, config.mode,
+                            p, upper, lower, low, high, s == 0.0)
+        for u, d, s, p, upper, lower, low, high in zip(
+            u_candidate.tolist(), delta.tolist(), sigma.tolist(), test["p_value"].tolist(),
+            test["p_upper"].tolist(), p_lower, test["ci_lower"].tolist(),
+            test["ci_upper"].tolist())
     )
 
 
@@ -171,9 +169,7 @@ def surrogate_test(response, candidate, config: TestConfig = TestConfig()) -> Su
     :class:`PairedSample`.  With ``config.epsilon=None`` the margin is
     derived from the response effect at the configured power.
     """
-    placements = _placements(*_stack(response, candidate))
-    u_y = placements.estimate(0)
-    epsilon = _margin(u_y, placements.sizes[0], placements.sizes[-1], config)
-    return surrogate_test_from_estimates(u_y, placements.estimate(1),
-                                         _delta_variance(placements), epsilon,
-                                         alpha=config.alpha, mode=config.mode)
+    design, a, b = _stack(response, candidate)
+    u_y, u_candidate, sigma = _gaps(design, a, b)
+    epsilon = _margin(u_y, a.shape[0], b.shape[0], config)
+    return _results(u_y, u_candidate, sigma, epsilon, config)[0]

@@ -20,15 +20,17 @@ from .errors import (
     NoSurrogatesSelectedError,
     SurrankError,
 )
-from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, \
+from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results, \
     surrogate_test
 from .multitest import Method, adjust
-from .rankstats import Design, PairedSample, TwoArmSample, _placements, _sample
-from .variance import _gap_variances
+from .rankstats import Design, PairedSample, TwoArmSample, _sample
+from .variance import _gaps
 
 # Candidate columns per kernel call in `screen`; bounds the working memory
 # at a few (n, _CHUNK_COLUMNS) arrays whatever the panel width.
 _CHUNK_COLUMNS = 512
+# Selected candidates that `run_pipeline` retests one by one on the evaluation split.
+_TOP_MARKERS = 10
 
 
 def _as_matrix(values, rows: int, name: str) -> np.ndarray:
@@ -224,11 +226,15 @@ class ScreeningReport:
     n_a: int
     n_b: int
 
+    def __post_init__(self):
+        # name -> row; not a field, so equality ignores it
+        object.__setattr__(self, "_rows", {row.name: row for row in self.rows})
+
     def row(self, name: str) -> ScreeningRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise InvalidInputError(f"no screening row for candidate {name!r}")
+        try:
+            return self._rows[name]
+        except KeyError:
+            raise InvalidInputError(f"no screening row for candidate {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -257,11 +263,17 @@ class CombinedSurrogate:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything produced by one full screening-and-evaluation run."""
+    """Everything produced by one full screening-and-evaluation run.
+
+    ``members`` pairs the first ten selected candidates with their own tests
+    on the evaluation split at the margin of ``evaluation``; a derived margin
+    depends only on the response and the block sizes, so it is theirs too.
+    """
 
     screening: ScreeningReport
     combined: CombinedSurrogate
     evaluation: SurrogateTestResult
+    members: tuple[tuple[str, SurrogateTestResult], ...]
     split_ratio: float
     split_seed: int
     evaluation_data: Dataset
@@ -312,21 +324,13 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     Candidates with no spread in either block are uninformative and are
     reported with p = 1 and the degenerate flag instead of a test.
     """
-    u_candidate, variance = [], []
-    for start in range(0, data.p, _CHUNK_COLUMNS):
-        cols = slice(start, start + _CHUNK_COLUMNS)
-        # row 0 of every chunk is the response, the others its candidates
-        placements = _placements(data.design,
-                                 np.column_stack([data.response_a, data.candidates_a[:, cols]]),
-                                 np.column_stack([data.response_b, data.candidates_b[:, cols]]))
-        treated, control = _gap_variances(placements)
-        u_candidate.append(placements.u[1:])
-        variance.append(treated + control)
-    u_y = placements.estimate(0)
+    chunks = [_response_gaps(data, slice(start, start + _CHUNK_COLUMNS))
+              for start in range(0, data.p, _CHUNK_COLUMNS)]
+    u_y = chunks[0][0]
     epsilon = _margin(u_y, data.n_a, data.n_b, config)
-    u_candidate = np.concatenate(u_candidate)
+    u_candidate = np.concatenate([u for _, u, _ in chunks])
+    sigma = np.concatenate([sd for _, _, sd in chunks])
     delta = u_y.value - u_candidate
-    sigma = np.sqrt(np.concatenate(variance))
     test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
 
     flat = (np.ptp(data.candidates_a, axis=0) == 0.0) & (np.ptp(data.candidates_b, axis=0) == 0.0)
@@ -353,6 +357,12 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
         n_a=data.n_a,
         n_b=data.n_b,
     )
+
+
+def _response_gaps(data: Dataset, cols):
+    """:func:`_gaps` of the response against the candidate columns ``cols`` of ``data``."""
+    return _gaps(data.design, np.column_stack([data.response_a, data.candidates_a[:, cols]]),
+                 np.column_stack([data.response_b, data.candidates_b[:, cols]]))
 
 
 def weight_floor(design: Design, n_a: int, n_b: int) -> float:
@@ -413,9 +423,8 @@ def combine(data: Dataset, report: ScreeningReport):
         raise AlignmentError(f"selected candidates absent from dataset: {missing}")
 
     floor = weight_floor(report.design, report.n_a, report.n_b)
-    by_name = {row.name: row for row in report.rows}
     weights = np.array(
-        [1.0 / max(abs(by_name[name].delta), floor) for name in report.selected]
+        [1.0 / max(abs(report.row(name).delta), floor) for name in report.selected]
     )
     gamma, means, sds, degenerate = _combined_marker(data, report.selected, weights)
     combined = CombinedSurrogate(
@@ -438,23 +447,34 @@ def evaluate(data: Dataset, gamma, config: TestConfig = TestConfig()) -> Surroga
     return surrogate_test(data.response_sample(), gamma, config)
 
 
+def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
+    """The combined marker's test, then its first members' at its margin in one kernel pass."""
+    evaluation = evaluate(data, gamma, config)
+    members = selected[:_TOP_MARKERS]
+    u_y, u, sigma = _response_gaps(data, [data._column(name) for name in members])
+    return evaluation, tuple(zip(members, _results(u_y, u, sigma, evaluation.epsilon, config)))
+
+
 def run_pipeline(data: Dataset, ratio: float = 0.75, seed: int = 0,
                  config: TestConfig = TestConfig(),
                  method: Method | None = "bh") -> PipelineResult:
     """Run split, screening, combination, and evaluation end to end.
 
     The combination is formed on the evaluation split (weights come from
-    screening, standardization moments from the evaluation data).  Errors
+    screening, standardization moments from the evaluation data), and the
+    evaluation stage also retests the first selected members there.  Errors
     raised by a stage are re-raised with the stage named.
     """
     screening_data, evaluation_data = _stage("split", split, data, ratio, seed)
     report = _stage("screening", screen, screening_data, config, method)
     combined, gamma = _stage("combination", combine, evaluation_data, report)
-    evaluation = _stage("evaluation", evaluate, evaluation_data, gamma, config)
+    evaluation, members = _stage("evaluation", _evaluation, evaluation_data, gamma,
+                                 report.selected, config)
     return PipelineResult(
         screening=report,
         combined=combined,
         evaluation=evaluation,
+        members=members,
         split_ratio=ratio,
         split_seed=seed,
         evaluation_data=evaluation_data,

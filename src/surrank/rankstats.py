@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import AlignmentError, InsufficientDataError, InvalidInputError
+from .errors import AlignmentError, InvalidInputError
 
 Design = Literal["unpaired", "paired"]
 
@@ -254,11 +254,3 @@ def normal_quantile(p) -> float | np.ndarray:
     if not np.isfinite(out).all():
         raise InvalidInputError("normal_quantile requires probabilities strictly inside (0, 1)")
     return float(out) if out.ndim == 0 else out
-
-
-def require_min_size(design: Design, *sizes: int, minimum: int = 2) -> None:
-    """Raise when any arm (or the unit count) is below the estimator's minimum."""
-    for size in sizes:
-        if size < minimum:
-            label = "units" if design == "paired" else "observations per arm"
-            raise InsufficientDataError(f"need at least {minimum} {label}, got {size}")

@@ -21,10 +21,9 @@ from scipy.stats import kstest, kstwobign
 
 from surrank.cli import main
 from surrank.dataio import read_table
-from surrank.inference import surrogate_test_from_estimates
+from surrank.inference import _assemble, surrogate_test
 from surrank.multitest import adjust
-from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, u_statistic_paired, \
-    u_statistic_unpaired
+from surrank.rankstats import PairedSample, TwoArmSample, u_statistic_paired, u_statistic_unpaired
 from surrank.simulate import (
     DgpConfig,
     calibrate_sigma_valid,
@@ -34,7 +33,6 @@ from surrank.simulate import (
     run_evaluation_experiment,
     run_screening_experiment,
 )
-from surrank.variance import DeltaVariance, delta_variance_paired, delta_variance_unpaired
 
 
 def _criterion(number: int, ok: bool, detail: str) -> None:
@@ -126,7 +124,7 @@ def test_criterion_02_analytic_sigma_tracks_bootstrap_sd():
                 if i % 3 == 0:
                     s = TwoArmSample(treated=np.round(s.treated),
                                      control=np.round(s.control))
-                analytic = delta_variance_unpaired(y, s).sigma
+                analytic = surrogate_test(y, s).sigma
                 boot = _bootstrap_sd_unpaired(rng, y, s)
             else:
                 y = PairedSample(post=rng.normal(1.5, 1.0, n1),
@@ -135,7 +133,7 @@ def test_criterion_02_analytic_sigma_tracks_bootstrap_sd():
                                  pre=y.pre + rng.normal(0, 0.8, n1))
                 if i % 3 == 0:
                     s = PairedSample(post=np.round(s.post), pre=np.round(s.pre))
-                analytic = delta_variance_paired(y, s).sigma
+                analytic = surrogate_test(y, s).sigma
                 boot = _bootstrap_sd_paired(rng, y, s)
             relative = abs(analytic - boot) / boot
             worst = max(worst, relative)
@@ -221,14 +219,11 @@ def test_criterion_07_equivalence_test_matches_interval_inclusion():
         sigma = float(np.exp(rng.normal(-2.5, 1.0)))
         epsilon = float(rng.uniform(0.0, 0.9))
         alpha = float(rng.uniform(0.01, 0.2))
-        u_r = UEstimate(value=0.5 + delta / 2.0, design="unpaired", tie_fraction=0.0)
-        u_c = UEstimate(value=0.5 - delta / 2.0, design="unpaired", tie_fraction=0.0)
-        dv = DeltaVariance(sigma=sigma, variance=sigma**2, design="unpaired",
-                           treated_component=sigma**2, control_component=0.0)
-        res = surrogate_test_from_estimates(u_r, u_c, dv, epsilon, alpha=alpha,
-                                            mode="tost")
-        by_p = res.p_value < alpha
-        by_ci = -epsilon < res.ci_lower and res.ci_upper < epsilon
+        # the gap between a response U and a candidate U either side of 1/2
+        gap = (0.5 + delta / 2.0) - (0.5 - delta / 2.0)
+        res = _assemble(np.array([gap]), np.array([sigma]), epsilon, alpha, "tost")
+        by_p = res["p_value"][0] < alpha
+        by_ci = -epsilon < res["ci_lower"][0] and res["ci_upper"][0] < epsilon
         counterexamples += by_p != by_ci
     _criterion(7, counterexamples == 0,
                f"10000 random (delta, sigma, epsilon, alpha) tuples, "

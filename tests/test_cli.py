@@ -169,6 +169,23 @@ def test_evaluate_subcommand_uses_weights_file(files, capsys):
     assert main(["evaluate", *base(resp, cand), "--weights", str(noweight)]) == 2
 
 
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+@pytest.mark.parametrize("second_row", ["goodB,-1", "goodB,0", "goodB,nan", "goodB,inf",
+                                        "goodA,2"])
+def test_weights_file_rejects_what_the_combination_rejects(files, capsys, command,
+                                                            second_row):
+    # a weight that is not positive and finite, or a name listed twice
+    tmp_path, resp, cand = files
+    weights = tmp_path / "w.csv"
+    weights.write_text(f"name,weight\ngoodA,1\n{second_row}\n")
+    name = second_row.split(",")[0]
+    rc = main([command, *base(resp, cand), "--weights", str(weights),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert f"{weights}:3: candidate {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_report_subcommand_emits_rank_scatter(files, capsys):
     tmp_path, resp, cand = files
     weights = tmp_path / "w.csv"

@@ -1,25 +1,19 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from surrank.errors import AlignmentError, ConfigurationError
-from surrank.inference import (
-    TestConfig,
-    select_epsilon,
-    surrogate_test,
-    surrogate_test_from_estimates,
-)
-from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, u_statistic_unpaired
-from surrank.variance import DeltaVariance, delta_variance_unpaired
+from surrank.inference import TestConfig, _assemble, select_epsilon, surrogate_test
+from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, _stack, \
+    u_statistic_unpaired
+from surrank.variance import _gaps
 
 
-def dv(sigma, design="unpaired"):
-    return DeltaVariance(
-        sigma=sigma,
-        variance=sigma**2,
-        design=design,
-        treated_component=sigma**2,
-        control_component=0.0,
-    )
+def assemble(delta, sigma, epsilon, alpha=0.05, mode="noninferiority"):
+    """:func:`_assemble` on one gap, with scalar results."""
+    test = _assemble(np.array([delta]), np.array([sigma]), epsilon, alpha, mode)
+    return {key: None if value is None else float(value[0]) for key, value in test.items()}
 
 
 def test_select_epsilon_unpaired_reference():
@@ -51,70 +45,42 @@ def test_select_epsilon_floors_at_zero():
 
 def test_noninferiority_p_value():
     # z = (0.02 - 0.10) / 0.05 = -1.6
-    res = surrogate_test_from_estimates(
-        UEstimate(0.92, "unpaired", 0.0),
-        UEstimate(0.90, "unpaired", 0.0),
-        dv(0.05),
-        epsilon=0.10,
-    )
-    assert res.delta == pytest.approx(0.02)
-    assert res.p_value == pytest.approx(0.05479929169955799, abs=1e-12)
-    assert res.p_lower is None
-    assert res.p_upper == res.p_value
-    assert not res.reject
+    res = assemble(0.92 - 0.90, 0.05, epsilon=0.10)
+    assert res["p_value"] == pytest.approx(0.05479929169955799, abs=1e-12)
+    assert res["p_lower"] is None
+    assert res["p_upper"] == res["p_value"]
+    assert not res["p_value"] < 0.05
 
 
 def test_tost_symmetric_example():
     # both one-sided z scores are -2 when delta = 0, sigma = 0.05, eps = 0.1
-    res = surrogate_test_from_estimates(
-        UEstimate(0.8, "unpaired", 0.0),
-        UEstimate(0.8, "unpaired", 0.0),
-        dv(0.05),
-        epsilon=0.10,
-        mode="tost",
-    )
-    assert res.p_upper == pytest.approx(0.02275013194817921, abs=1e-12)
-    assert res.p_lower == pytest.approx(0.02275013194817921, abs=1e-12)
-    assert res.p_value == pytest.approx(0.02275013194817921, abs=1e-12)
-    assert res.reject
+    res = assemble(0.8 - 0.8, 0.05, epsilon=0.10, mode="tost")
+    assert res["p_upper"] == pytest.approx(0.02275013194817921, abs=1e-12)
+    assert res["p_lower"] == pytest.approx(0.02275013194817921, abs=1e-12)
+    assert res["p_value"] == pytest.approx(0.02275013194817921, abs=1e-12)
+    assert res["p_value"] < 0.05
 
 
 def test_confidence_interval_level():
     # delta +/- z_0.95 * sigma gives a 90 percent interval at alpha 0.05
-    res = surrogate_test_from_estimates(
-        UEstimate(0.92, "unpaired", 0.0),
-        UEstimate(0.90, "unpaired", 0.0),
-        dv(0.05),
-        epsilon=0.10,
-        alpha=0.05,
-    )
+    res = assemble(0.92 - 0.90, 0.05, epsilon=0.10, alpha=0.05)
     half = 1.6448536269514722 * 0.05
-    assert res.ci_lower == pytest.approx(0.02 - half, abs=1e-12)
-    assert res.ci_upper == pytest.approx(0.02 + half, abs=1e-12)
+    assert res["ci_lower"] == pytest.approx(0.02 - half, abs=1e-12)
+    assert res["ci_upper"] == pytest.approx(0.02 + half, abs=1e-12)
 
 
 def test_degenerate_variance_gives_indicator_p_values():
-    below = surrogate_test_from_estimates(
-        UEstimate(0.9, "paired", 0.0), UEstimate(0.85, "paired", 0.0), dv(0.0, "paired"),
-        epsilon=0.10,
-    )
-    assert below.p_value == 0.0
-    assert below.degenerate
-    assert below.ci_lower == below.ci_upper == pytest.approx(0.05)
+    below = assemble(0.9 - 0.85, 0.0, epsilon=0.10)
+    assert below["p_value"] == 0.0
+    assert below["ci_lower"] == below["ci_upper"] == pytest.approx(0.05)
 
     # 0.875 - 0.75 is exactly representable, so delta sits exactly on the margin
-    on_boundary = surrogate_test_from_estimates(
-        UEstimate(0.875, "paired", 0.0), UEstimate(0.75, "paired", 0.0), dv(0.0, "paired"),
-        epsilon=0.125,
-    )
-    assert on_boundary.p_value == 1.0
+    on_boundary = assemble(0.875 - 0.75, 0.0, epsilon=0.125)
+    assert on_boundary["p_value"] == 1.0
 
-    tost_boundary = surrogate_test_from_estimates(
-        UEstimate(0.75, "paired", 0.0), UEstimate(0.875, "paired", 0.0), dv(0.0, "paired"),
-        epsilon=0.125, mode="tost",
-    )
-    assert tost_boundary.p_lower == 1.0
-    assert tost_boundary.p_value == 1.0
+    tost_boundary = assemble(0.75 - 0.875, 0.0, epsilon=0.125, mode="tost")
+    assert tost_boundary["p_lower"] == 1.0
+    assert tost_boundary["p_value"] == 1.0
 
 
 def test_rejection_matches_confidence_interval():
@@ -124,16 +90,31 @@ def test_rejection_matches_confidence_interval():
         sigma = rng.uniform(0.01, 0.2)
         eps = rng.uniform(0.01, 0.3)
         alpha = rng.uniform(0.01, 0.2)
-        u_s = UEstimate(0.6 - delta, "unpaired", 0.0)
-        noninf = surrogate_test_from_estimates(
-            UEstimate(0.6, "unpaired", 0.0), u_s, dv(sigma), epsilon=eps, alpha=alpha
-        )
-        assert (noninf.p_value < alpha) == (noninf.ci_upper < eps)
-        tost = surrogate_test_from_estimates(
-            UEstimate(0.6, "unpaired", 0.0), u_s, dv(sigma), epsilon=eps, alpha=alpha,
-            mode="tost",
-        )
-        assert (tost.p_value < alpha) == (-eps < tost.ci_lower and tost.ci_upper < eps)
+        gap = 0.6 - (0.6 - delta)
+        noninf = assemble(gap, sigma, eps, alpha)
+        assert (noninf["p_value"] < alpha) == (noninf["ci_upper"] < eps)
+        tost = assemble(gap, sigma, eps, alpha, mode="tost")
+        assert (tost["p_value"] < alpha) == (-eps < tost["ci_lower"] and tost["ci_upper"] < eps)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.sampled_from(["free", "upper", "lower"]),
+                       st.one_of(st.just(0.0), st.floats(1e-6, 0.5))),
+             min_size=1, max_size=20),
+    st.floats(0.0, 0.9),
+    st.floats(0.001, 0.499),
+    st.sampled_from(["noninferiority", "tost"]),
+)
+def test_assembled_rejection_is_interval_inclusion(gaps, epsilon, alpha, mode):
+    # a gap is free, or sits exactly on +epsilon or -epsilon; sigma may be 0
+    on = {"upper": epsilon, "lower": -epsilon}
+    delta = np.array([on.get(where, value) for value, where, _ in gaps])
+    sigma = np.array([sd for _, _, sd in gaps])
+    test = _assemble(delta, sigma, epsilon, alpha, mode)
+    inside = test["ci_upper"] < epsilon
+    if mode == "tost":
+        inside &= -epsilon < test["ci_lower"]
+    assert np.array_equal(test["p_value"] < alpha, inside)
 
 
 def test_surrogate_test_matches_manual_assembly():
@@ -144,12 +125,14 @@ def test_surrogate_test_matches_manual_assembly():
         control=response.control + rng.normal(0, 1, 25),
     )
     res = surrogate_test(response, candidate, TestConfig(epsilon=0.15))
-    u_y = u_statistic_unpaired(response)
-    u_s = u_statistic_unpaired(candidate)
-    manual = surrogate_test_from_estimates(
-        u_y, u_s, delta_variance_unpaired(response, candidate), epsilon=0.15
-    )
-    assert res == manual
+    u_y = u_statistic_unpaired(response).value
+    u_s = u_statistic_unpaired(candidate).value
+    _, _, sigma = _gaps(*_stack(response, candidate))
+    manual = assemble(u_y - u_s, float(sigma[0]), epsilon=0.15)
+    assert (res.u_response, res.u_candidate, res.delta, res.sigma, res.epsilon) == (
+        u_y, u_s, u_y - u_s, sigma[0], 0.15)
+    assert {key: getattr(res, key) for key in manual} == manual
+    assert (res.alpha, res.mode, res.degenerate) == (0.05, "noninferiority", False)
 
 
 def test_surrogate_test_adaptive_margin_paired():
@@ -169,10 +152,7 @@ def test_surrogate_test_rejects_mixed_designs():
     with pytest.raises(AlignmentError):
         surrogate_test(unpaired, paired)
     with pytest.raises(AlignmentError):
-        surrogate_test_from_estimates(
-            UEstimate(0.9, "paired", 0.0), UEstimate(0.8, "unpaired", 0.0), dv(0.1),
-            epsilon=0.1,
-        )
+        surrogate_test(paired, unpaired)
 
 
 def test_config_validation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from surrank.errors import (
     InvalidInputError,
     NoSurrogatesSelectedError,
 )
-from surrank.inference import TestConfig, select_epsilon
+from surrank.inference import TestConfig, select_epsilon, surrogate_test
 from surrank.pipeline import (
     CombinedSurrogate,
     Dataset,
@@ -336,6 +338,32 @@ def test_run_pipeline_end_to_end_and_deterministic():
         f"noise{j}" for j in range(6)
     }
     assert first.evaluation.reject
+
+
+@pytest.mark.parametrize("design, mode", [("unpaired", "noninferiority"), ("paired", "tost")])
+def test_members_are_single_marker_tests_at_the_evaluation_margin(design, mode):
+    data = make_unpaired(n1=60, n0=60, n_valid=14, n_noise=3, seed=62)
+    if design == "paired":
+        data = Dataset.paired(data.response_a, data.response_b, data.candidates_a,
+                              data.candidates_b, names=data.names)
+    config = TestConfig(mode=mode)
+    result = run_pipeline(data, ratio=0.75, seed=3, config=config)
+    # more than ten selected, so only the first ten are retested
+    assert len(result.screening.selected) > 10
+    held_out = result.evaluation_data
+    at_margin = replace(config, epsilon=result.evaluation.epsilon)
+    assert result.members == tuple(
+        (name, surrogate_test(held_out.response_sample(), held_out.candidate_sample(name),
+                              at_margin))
+        for name in result.screening.selected[:10]
+    )
+
+
+def test_screening_report_row_lookup():
+    report = manual_report("paired", ["a", "b"], [0.1, -0.2], 12, 12)
+    assert report.row("b") is report.rows[1]
+    with pytest.raises(InvalidInputError, match="'c'"):
+        report.row("c")
 
 
 def test_run_pipeline_labels_stage_errors():

@@ -2,32 +2,34 @@ import numpy as np
 import pytest
 
 from surrank.errors import AlignmentError, InsufficientDataError, InvalidInputError
-from surrank.rankstats import PairedSample, TwoArmSample
-from surrank.variance import (
-    delta_variance_paired,
-    delta_variance_unpaired,
-    null_u_variance,
-    paired_kernel_differences,
-)
+from surrank.inference import surrogate_test
+from surrank.rankstats import PairedSample, TwoArmSample, _placements, _stack
+from surrank.variance import _gaps, null_u_variance
+
+
+def gap_sd(response, candidate) -> float:
+    """The screening core's standard error of U_response - U_candidate."""
+    _, _, sigma = _gaps(*_stack(response, candidate))
+    return float(sigma[0])
 
 
 def test_paired_kernel_differences_example():
     # response wins every unit, candidate wins units 2 and 4 -> d = 1,0,1,0
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    d = paired_kernel_differences(response, candidate)
-    assert d.tolist() == [1.0, 0.0, 1.0, 0.0]
+    (kernel,) = _placements(*_stack(response, candidate)).counts
+    assert (kernel[0] - kernel[1]).tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_paired_variance_example():
     # var(d, ddof=1) = 1/3 over n=4 units -> variance 1/12
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    dv = delta_variance_paired(response, candidate)
-    assert dv.variance == pytest.approx(1.0 / 12.0, rel=1e-15)
-    assert dv.sigma == pytest.approx(np.sqrt(1.0 / 12.0), rel=1e-15)
-    assert dv.design == "paired"
-    assert not dv.degenerate
+    u_y, _, sigma = _gaps(*_stack(response, candidate))
+    assert sigma[0] ** 2 == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert sigma[0] == pytest.approx(np.sqrt(1.0 / 12.0), rel=1e-15)
+    assert u_y.design == "paired"
+    assert not surrogate_test(response, candidate).degenerate
 
 
 def test_unpaired_variance_small_example():
@@ -36,11 +38,9 @@ def test_unpaired_variance_small_example():
     # control-side diffs (1, -0.5): var/2 = 0.5625
     response = TwoArmSample(treated=[3.0, 5.0], control=[1.0, 4.0])
     candidate = TwoArmSample(treated=[2.0, 1.0], control=[3.0, 0.0])
-    dv = delta_variance_unpaired(response, candidate)
-    assert dv.treated_component == pytest.approx(0.0625, rel=1e-15)
-    assert dv.control_component == pytest.approx(0.5625, rel=1e-15)
-    assert dv.variance == pytest.approx(0.625, rel=1e-15)
-    assert dv.sigma == pytest.approx(np.sqrt(0.625), rel=1e-15)
+    sigma = gap_sd(response, candidate)
+    assert sigma**2 == pytest.approx(0.0625 + 0.5625, rel=1e-15)
+    assert sigma == pytest.approx(np.sqrt(0.625), rel=1e-15)
 
 
 def test_unpaired_variance_matches_covariance_form():
@@ -53,7 +53,7 @@ def test_unpaired_variance_matches_covariance_form():
         s = TwoArmSample(
             treated=np.round(rng.normal(1, 1, n1), 1), control=np.round(rng.normal(0, 1, n0), 1)
         )
-        dv = delta_variance_unpaired(y, s)
+        variance = gap_sd(y, s) ** 2
 
         g_y = (y.treated[:, None] > y.control[None, :]) + 0.5 * (
             y.treated[:, None] == y.control[None, :]
@@ -65,8 +65,8 @@ def test_unpaired_variance_matches_covariance_form():
         cov01 = np.cov(g_y.mean(axis=0), g_s.mean(axis=0), ddof=1)
         expected = (cov10[0, 0] + cov10[1, 1] - 2 * cov10[0, 1]) / n1
         expected += (cov01[0, 0] + cov01[1, 1] - 2 * cov01[0, 1]) / n0
-        assert dv.variance == pytest.approx(expected, rel=1e-12)
-        assert dv.variance >= 0.0
+        assert variance == pytest.approx(expected, rel=1e-12)
+        assert variance >= 0.0
 
 
 def test_perfect_surrogate_has_zero_variance():
@@ -75,26 +75,25 @@ def test_perfect_surrogate_has_zero_variance():
     control = rng.normal(0, 1, 15)
     response = TwoArmSample(treated=treated, control=control)
     candidate = TwoArmSample(treated=np.exp(treated), control=np.exp(control))
-    dv = delta_variance_unpaired(response, candidate)
-    assert dv.variance == 0.0
-    assert dv.sigma == 0.0
-    assert dv.degenerate
+    res = surrogate_test(response, candidate)
+    assert res.sigma == 0.0
+    assert res.degenerate
 
     post = rng.normal(1, 1, 20)
     pre = rng.normal(0, 1, 20)
-    dv = delta_variance_paired(
+    res = surrogate_test(
         PairedSample(post=post, pre=pre), PairedSample(post=post**3, pre=pre**3)
     )
-    assert dv.degenerate
+    assert res.degenerate
 
 
 def test_variance_requires_matching_units():
     y = TwoArmSample(treated=[1.0, 2.0, 3.0], control=[0.0, 1.0])
     s = TwoArmSample(treated=[1.0, 2.0], control=[0.0, 1.0])
     with pytest.raises(AlignmentError):
-        delta_variance_unpaired(y, s)
+        gap_sd(y, s)
     with pytest.raises(AlignmentError):
-        delta_variance_paired(
+        gap_sd(
             PairedSample(post=[1.0, 2.0], pre=[0.0, 0.0]),
             PairedSample(post=[1.0, 2.0, 3.0], pre=[0.0, 0.0, 0.0]),
         )
@@ -102,12 +101,12 @@ def test_variance_requires_matching_units():
 
 def test_variance_requires_two_per_arm():
     with pytest.raises(InsufficientDataError):
-        delta_variance_unpaired(
+        gap_sd(
             TwoArmSample(treated=[1.0], control=[0.0, 1.0]),
             TwoArmSample(treated=[1.0], control=[0.0, 1.0]),
         )
     with pytest.raises(InsufficientDataError):
-        delta_variance_paired(
+        gap_sd(
             PairedSample(post=[1.0], pre=[0.0]), PairedSample(post=[1.0], pre=[0.0])
         )
 
