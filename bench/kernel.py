@@ -6,8 +6,9 @@ Sizes (n per arm, k kernel rows): 100 / 101 and 150 / 513 on continuous
 normal data, 150 / 513 on the same data rounded to integers (10 levels,
 so many comparisons sit in tie runs), and 50 / 2, the response
 and one candidate of a single-marker test.  101 is the response plus the
-p = 100 panel of the Monte-Carlo drivers and 513 one full ``screen``
-chunk.  The 50 / 2 case also times the whole ``surrogate_test``, whose
+p = 100 panel of the Monte-Carlo drivers and 513 the response plus 512
+candidates, a block far wider than the 40 or fewer columns ``screen``
+uses at these heights (``bench/screen.py`` sweeps the width).  The 50 / 2 case also times the whole ``surrogate_test``, whose
 fixed per-call costs the simulation drivers pay 200 times per call.
 
 Each case runs ``REPEATS`` batches of calls and records the time per call

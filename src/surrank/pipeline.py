@@ -26,9 +26,14 @@ from .multitest import Method, adjust
 from .rankstats import Design, PairedSample, TwoArmSample, _sample
 from .variance import _gaps
 
-# Candidate columns per kernel call in `screen`; bounds the working memory
-# at a few (n, _CHUNK_COLUMNS) arrays whatever the panel width.
-_CHUNK_COLUMNS = 512
+# Bytes of the kernel's largest float64 temporary, 8 * (n_a + n_b) per candidate
+# column, allowed per kernel call in `_screen_gaps`.  Under a 128 KiB mmap
+# threshold bench/screen.py measures the cost per column jumping by a third or
+# more once that temporary passes about 95-115 KB (the kernel's arrays are then
+# mapped and page-faulted afresh on each call), and falling only slowly with the
+# width below it.  64 KiB (40 columns at n = 100 + 100) keeps a 1.5x margin
+# under that edge, whose place moves with the allocation history.
+_BLOCK_BYTES = 64 * 1024
 # Selected candidates that `run_pipeline` retests one by one on the evaluation split.
 _TOP_MARKERS = 10
 
@@ -324,24 +329,16 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     Candidates with no spread in either block are uninformative and are
     reported with p = 1 and the degenerate flag instead of a test.
     """
-    chunks = [_response_gaps(data, slice(start, start + _CHUNK_COLUMNS))
-              for start in range(0, data.p, _CHUNK_COLUMNS)]
-    u_y = chunks[0][0]
+    u_y, u_candidate, sigma, flat = _screen_gaps(data.design, data.response_a, data.response_b,
+                                                 data.candidates_a, data.candidates_b)
     epsilon = _margin(u_y, data.n_a, data.n_b, config)
-    u_candidate = np.concatenate([u for _, u, _ in chunks])
-    sigma = np.concatenate([sd for _, _, sd in chunks])
-    delta = u_y.value - u_candidate
-    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
-
-    flat = (np.ptp(data.candidates_a, axis=0) == 0.0) & (np.ptp(data.candidates_b, axis=0) == 0.0)
-    raw = np.where(flat, 1.0, test["p_value"])
-    adjusted = adjust(raw, method).adjusted if method is not None else raw
+    delta, test, raw, adjusted = _screen_tests(u_y, u_candidate, sigma, flat, epsilon, config,
+                                               method)
     rows = tuple(
         ScreeningRow(*fields)
         for fields in zip(data.names, u_candidate.tolist(), delta.tolist(), sigma.tolist(),
                           test["ci_lower"].tolist(), test["ci_upper"].tolist(),
-                          raw.tolist(), np.asarray(adjusted, dtype=float).tolist(),
-                          (flat | (sigma == 0.0)).tolist())
+                          raw.tolist(), adjusted.tolist(), (flat | (sigma == 0.0)).tolist())
     )
     hits = [row for row in rows if row.adjusted_p < config.alpha]
     hits.sort(key=lambda row: (row.adjusted_p, abs(row.delta), row.name))
@@ -359,10 +356,38 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     )
 
 
-def _response_gaps(data: Dataset, cols):
-    """:func:`_gaps` of the response against the candidate columns ``cols`` of ``data``."""
-    return _gaps(data.design, np.column_stack([data.response_a, data.candidates_a[:, cols]]),
-                 np.column_stack([data.response_b, data.candidates_b[:, cols]]))
+def _screen_gaps(design: Design, response_a: np.ndarray, response_b: np.ndarray,
+                 candidates_a: np.ndarray, candidates_b: np.ndarray):
+    """U_y, each candidate's U, the standard error of its gap and its flat flag.
+
+    Runs :func:`_gaps` over blocks of candidate columns sized to
+    ``_BLOCK_BYTES``, each block led by the response column.  No column's
+    arithmetic depends on the block that holds it, so the results do not
+    depend on the width.  A candidate is flat when it has no spread in
+    either block.
+    """
+    n_a, n_b = response_a.size, response_b.size
+    width = max(1, _BLOCK_BYTES // (8 * (n_a + n_b)))
+    blocks = [_gaps(design, np.column_stack([response_a, candidates_a[:, start:start + width]]),
+                    np.column_stack([response_b, candidates_b[:, start:start + width]]))
+              for start in range(0, candidates_a.shape[1], width)]
+    flat = (np.ptp(candidates_a, axis=0) == 0.0) & (np.ptp(candidates_b, axis=0) == 0.0)
+    return (blocks[0][0], np.concatenate([u for _, u, _ in blocks]),
+            np.concatenate([sd for _, _, sd in blocks]), flat)
+
+
+def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndarray,
+                  epsilon: float, config: TestConfig, method: Method | None):
+    """Gaps, :func:`_assemble` output, raw p and adjusted p at one shared margin.
+
+    Flat candidates are uninformative and get raw p = 1.  ``method=None``
+    leaves the adjusted p equal to the raw p.
+    """
+    delta = u_y.value - u_candidate
+    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
+    raw = np.where(flat, 1.0, test["p_value"])
+    adjusted = adjust(raw, method).adjusted if method is not None else raw
+    return delta, test, raw, adjusted
 
 
 def weight_floor(design: Design, n_a: int, n_b: int) -> float:
@@ -451,7 +476,9 @@ def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
     """The combined marker's test, then its first members' at its margin in one kernel pass."""
     evaluation = evaluate(data, gamma, config)
     members = selected[:_TOP_MARKERS]
-    u_y, u, sigma = _response_gaps(data, [data._column(name) for name in members])
+    cols = [data._column(name) for name in members]
+    u_y, u, sigma, _ = _screen_gaps(data.design, data.response_a, data.response_b,
+                                    data.candidates_a[:, cols], data.candidates_b[:, cols])
     return evaluation, tuple(zip(members, _results(u_y, u, sigma, evaluation.epsilon, config)))
 
 

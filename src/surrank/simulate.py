@@ -12,16 +12,16 @@ rates against the known labels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .inference import TestConfig, surrogate_test
+from .inference import TestConfig, _margin, surrogate_test
 from .multitest import Method
-from .pipeline import Dataset, screen, weighted_standardized_sum
-from .rankstats import TwoArmSample, normal_cdf, normal_quantile, u_statistic_unpaired
+from .pipeline import Dataset, _screen_gaps, _screen_tests, weighted_standardized_sum
+from .rankstats import TwoArmSample, normal_cdf, normal_quantile
 
 Dgp = Literal["normal", "complex"]
 Scenario = Literal["none_valid", "ten_pct_valid"]
@@ -116,16 +116,15 @@ class SimulationMetrics:
     def power(self) -> float:
         return self.tp / max(1, self.tp + self.fn)
 
-    @classmethod
-    def from_selection(cls, selected, names, valid) -> "SimulationMetrics":
-        chosen = set(selected)
-        flags = [(name in chosen, is_valid) for name, is_valid in zip(names, valid)]
-        return cls(
-            tp=sum(s and v for s, v in flags),
-            fp=sum(s and not v for s, v in flags),
-            tn=sum(not s and not v for s, v in flags),
-            fn=sum(not s and v for s, v in flags),
-        )
+
+def _confusion(selected: np.ndarray, valid: np.ndarray) -> tuple[SimulationMetrics, ...]:
+    """Confusion counts of each row of a (replicates, p) selection mask against the labels."""
+    tp = np.count_nonzero(selected & valid, axis=1).tolist()
+    fp = np.count_nonzero(selected & ~valid, axis=1).tolist()
+    n_valid = int(np.count_nonzero(valid))
+    n_invalid = valid.size - n_valid
+    return tuple(SimulationMetrics(tp=t, fp=f, tn=n_invalid - f, fn=n_valid - t)
+                 for t, f in zip(tp, fp))
 
 
 def response_effect() -> float:
@@ -250,6 +249,30 @@ def _draw_valid(rng: np.random.Generator, dgp: Dgp, y1: np.ndarray, y0: np.ndarr
     return signal1[:, None] + noise1, signal0[:, None] + noise0
 
 
+def _draw(rng: np.random.Generator, dgp: Dgp, n1: int, n0: int, p_invalid: int,
+          p_valid: int, sigma_valid: float, sigma_corr: float):
+    """One replicate's response arms and candidate blocks, invalid columns first.
+
+    Draws y1, y0, the invalid block and then the valid block from ``rng``,
+    the order every driver relies on to reproduce its streams.
+    """
+    y1 = rng.normal(RESPONSE_MEAN_TREATED, RESPONSE_SD, n1)
+    y0 = rng.normal(RESPONSE_MEAN_CONTROL, RESPONSE_SD, n0)
+    blocks1, blocks0 = [], []
+    if p_invalid:
+        inv1, inv0 = _draw_invalid(rng, dgp, n1, n0, p_invalid, sigma_corr)
+        blocks1.append(inv1)
+        blocks0.append(inv0)
+    if p_valid:
+        val1, val0 = _draw_valid(rng, dgp, y1, y0, p_valid, sigma_valid, sigma_corr)
+        blocks1.append(val1)
+        blocks0.append(val0)
+    candidates1, candidates0 = np.hstack(blocks1), np.hstack(blocks0)
+    if not (np.isfinite(candidates1).all() and np.isfinite(candidates0).all()):
+        raise NumericError(f"{dgp} process drew non-finite candidate values")
+    return y1, y0, candidates1, candidates0
+
+
 def generate(cfg: DgpConfig, rng: np.random.Generator | None = None) -> SimulatedDataset:
     """Draw one labeled dataset from the configured process.
 
@@ -259,26 +282,11 @@ def generate(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Simulate
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    p_valid = cfg.p_valid
-    y1 = rng.normal(RESPONSE_MEAN_TREATED, RESPONSE_SD, cfg.n1)
-    y0 = rng.normal(RESPONSE_MEAN_CONTROL, RESPONSE_SD, cfg.n0)
-
-    blocks1, blocks0, labels = [], [], []
-    if cfg.p_invalid:
-        inv1, inv0 = _draw_invalid(rng, cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid, cfg.sigma_corr)
-        blocks1.append(inv1)
-        blocks0.append(inv0)
-        labels += [False] * cfg.p_invalid
-    sigma_valid = 0.0
-    if p_valid:
-        sigma_valid = calibrate_sigma_valid(cfg.dgp, cfg.target_u_s)
-        val1, val0 = _draw_valid(rng, cfg.dgp, y1, y0, p_valid, sigma_valid, cfg.sigma_corr)
-        blocks1.append(val1)
-        blocks0.append(val0)
-        labels += [True] * p_valid
-
-    dataset = Dataset.unpaired(y1, y0, np.hstack(blocks1), np.hstack(blocks0))
-    return SimulatedDataset(dataset=dataset, valid=tuple(labels), sigma_valid=sigma_valid)
+    sigma_valid = calibrate_sigma_valid(cfg.dgp, cfg.target_u_s) if cfg.p_valid else 0.0
+    dataset = Dataset.unpaired(*_draw(rng, cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid, cfg.p_valid,
+                                      sigma_valid, cfg.sigma_corr))
+    labels = (False,) * cfg.p_invalid + (True,) * cfg.p_valid
+    return SimulatedDataset(dataset=dataset, valid=labels, sigma_valid=sigma_valid)
 
 
 @dataclass(frozen=True)
@@ -311,26 +319,29 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     that replicate's observed response effect minus one half, placing
     candidates with no effect exactly on the test boundary; otherwise the
     margin follows ``test_config``.  Each replicate draws its data from
-    an independent stream derived from ``cfg.seed``.
+    an independent stream derived from ``cfg.seed``, as :func:`generate`
+    would, and runs the columnar core of :func:`~surrank.pipeline.screen`
+    on the drawn arrays, so its raw p-values and selected set are those
+    of ``screen(generate(cfg, rng).dataset, ...)``.  A candidate is
+    selected when its adjusted p is below ``test_config.alpha``.
     """
     if n_sim < 1:
         raise ConfigurationError(f"n_sim must be >= 1, got {n_sim}")
+    sigma_valid = calibrate_sigma_valid(cfg.dgp, cfg.target_u_s) if cfg.p_valid else 0.0
     streams = np.random.SeedSequence(cfg.seed).spawn(n_sim)
-    metrics = []
-    pvalues = np.empty((n_sim, cfg.p_total)) if keep_pvalues else None
+    raw = np.empty((n_sim, cfg.p_total))
+    adjusted = np.empty((n_sim, cfg.p_total))
     for i, stream in enumerate(streams):
-        sim = generate(cfg, np.random.default_rng(stream))
-        replicate_config = test_config
-        if boundary_epsilon:
-            u_y = u_statistic_unpaired(sim.dataset.response_sample())
-            replicate_config = replace(test_config, epsilon=max(0.0, u_y.value - 0.5))
-        report = screen(sim.dataset, replicate_config, method)
-        metrics.append(
-            SimulationMetrics.from_selection(report.selected, sim.dataset.names, sim.valid)
-        )
-        if pvalues is not None:
-            pvalues[i] = [row.raw_p for row in report.rows]
-    return ScreeningExperiment(metrics=tuple(metrics), raw_pvalues=pvalues)
+        drawn = _draw(np.random.default_rng(stream), cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid,
+                      cfg.p_valid, sigma_valid, cfg.sigma_corr)
+        u_y, u_candidate, sigma, flat = _screen_gaps("unpaired", *drawn)
+        epsilon = (max(0.0, u_y.value - 0.5) if boundary_epsilon
+                   else _margin(u_y, cfg.n1, cfg.n0, test_config))
+        _, _, raw[i], adjusted[i] = _screen_tests(u_y, u_candidate, sigma, flat, epsilon,
+                                                  test_config, method)
+    valid = np.arange(cfg.p_total) >= cfg.p_invalid
+    return ScreeningExperiment(metrics=_confusion(adjusted < test_config.alpha, valid),
+                               raw_pvalues=raw if keep_pvalues else None)
 
 
 @dataclass(frozen=True)
@@ -358,6 +369,10 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
     the margin derived at the given power.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
+    if n < 2:
+        raise ConfigurationError(f"need at least 2 per arm, got n={n}")
+    if sigma_corr < 0.0:
+        raise ConfigurationError(f"sigma_corr must be >= 0, got {sigma_corr}")
     if set_size < 1:
         raise ConfigurationError(f"set_size must be >= 1, got {set_size}")
     if any(not 0.0 <= rho <= 1.0 for rho in rho_grid):
@@ -373,20 +388,11 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
         rng = np.random.default_rng(stream)
         for g, rho in enumerate(rho_grid):
             k_invalid = int(np.ceil(rho * set_size))
-            k_valid = set_size - k_invalid
-            y1 = rng.normal(RESPONSE_MEAN_TREATED, RESPONSE_SD, n)
-            y0 = rng.normal(RESPONSE_MEAN_CONTROL, RESPONSE_SD, n)
-            blocks1, blocks0 = [], []
-            if k_invalid:
-                inv1, inv0 = _draw_invalid(rng, dgp, n, n, k_invalid, sigma_corr)
-                blocks1.append(inv1)
-                blocks0.append(inv0)
-            if k_valid:
-                val1, val0 = _draw_valid(rng, dgp, y1, y0, k_valid, sigma_valid, sigma_corr)
-                blocks1.append(val1)
-                blocks0.append(val0)
+            y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
+                                                     set_size - k_invalid, sigma_valid,
+                                                     sigma_corr)
             gamma1, gamma0, _, _, _ = weighted_standardized_sum(
-                np.hstack(blocks1), np.hstack(blocks0), np.ones(set_size)
+                candidates1, candidates0, np.ones(set_size)
             )
             response = TwoArmSample(treated=y1, control=y0)
             gamma = TwoArmSample(treated=gamma1, control=gamma0)

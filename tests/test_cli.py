@@ -216,6 +216,18 @@ def test_simulate_evaluation_stage_writes_long_format(files, tmp_path):
                  "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--stage", "screening", "--sigma-corr", "-0.1"], "sigma_corr must be >= 0"),
+    (["--stage", "evaluation", "--sigma-corr", "-0.1"], "sigma_corr must be >= 0"),
+    (["--stage", "evaluation", "--n", "1"], "need at least 2 per arm"),
+], ids=["screening sigma_corr", "evaluation sigma_corr", "evaluation n"])
+def test_simulate_stages_reject_the_same_bad_settings(tmp_path, capsys, args, message):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", *args, "--n-sim", "2", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_epsilon_conflicts_with_explicit_power(files, capsys):
     _, resp, cand = files
     rc = main(["test", *base(resp, cand), "--name", "goodA",

@@ -91,22 +91,31 @@ def assert_rows_match_single_tests(data, report, config):
 @given(studies(), st.integers(1, 4), st.sampled_from(["noninferiority", "tost"]))
 def test_screen_rows_equal_single_marker_tests(data, chunk, mode):
     config = TestConfig(mode=mode)
-    with mock.patch.object(pipeline, "_CHUNK_COLUMNS", chunk):
+    # a budget of `chunk` columns of the largest temporary gives blocks `chunk` wide
+    with mock.patch.object(pipeline, "_BLOCK_BYTES", chunk * 8 * (data.n_a + data.n_b)):
         report = screen(data, config, method=None)
     assert report.epsilon_used == surrogate_test(
         data.response_sample(), data.candidate_sample(data.names[0]), config).epsilon
     assert_rows_match_single_tests(data, report, config)
 
 
-def test_screen_rows_equal_single_marker_tests_across_chunks():
+def assert_rows_match_single_tests_across_blocks(build, n_a, n_b):
+    # p crosses two boundaries of the block width `screen` derives at these heights
     rng = np.random.default_rng(5)
-    p = 2 * pipeline._CHUNK_COLUMNS + 3
-    data = Dataset.unpaired(rng.integers(0, 6, 30).astype(float),
-                            rng.integers(0, 4, 25).astype(float),
-                            rng.integers(0, 5, (30, p)).astype(float),
-                            rng.integers(0, 5, (25, p)).astype(float))
+    p = 2 * (pipeline._BLOCK_BYTES // (8 * (n_a + n_b))) + 3
+    data = build(rng.integers(0, 6, n_a).astype(float), rng.integers(0, 4, n_b).astype(float),
+                 rng.integers(0, 5, (n_a, p)).astype(float),
+                 rng.integers(0, 5, (n_b, p)).astype(float))
     config = TestConfig(mode="tost")
     assert_rows_match_single_tests(data, screen(data, config, method=None), config)
+
+
+def test_screen_rows_equal_single_marker_tests_across_chunks():
+    assert_rows_match_single_tests_across_blocks(Dataset.unpaired, 30, 25)
+
+
+def test_screen_rows_equal_single_marker_tests_across_chunks_paired():
+    assert_rows_match_single_tests_across_blocks(Dataset.paired, 40, 40)
 
 
 @given(studies(), st.randoms(use_true_random=False))

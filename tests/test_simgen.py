@@ -1,14 +1,19 @@
 """Tests for synthetic data generation and experiment drivers."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from surrank import pipeline
 from surrank.errors import ConfigurationError
 from surrank.inference import TestConfig
+from surrank.pipeline import screen
 from surrank.rankstats import u_statistic_unpaired
 from surrank.simulate import (
     DgpConfig,
-    SimulationMetrics,
+    _confusion,
     calibrate_sigma_valid,
     estimate_valid_strength,
     generate,
@@ -56,9 +61,10 @@ def test_generate_rejects_too_few_candidates_for_valid_share():
 
 
 def test_metrics_counts_partition_the_labels():
-    names = ("S1", "S2", "S3", "S4", "S5")
-    valid = (True, True, False, False, False)
-    m = SimulationMetrics.from_selection(["S1", "S3", "S4"], names, valid)
+    # candidates S1..S5; S1, S3 and S4 selected in the first replicate, none in the second
+    valid = np.array([True, True, False, False, False])
+    selected = np.array([[True, False, True, True, False], [False] * 5])
+    m, empty = _confusion(selected, valid)
     assert (m.tp, m.fp, m.tn, m.fn) == (1, 2, 1, 1)
     assert m.tp + m.fn == sum(valid)
     assert m.fp + m.tn == len(valid) - sum(valid)
@@ -66,7 +72,6 @@ def test_metrics_counts_partition_the_labels():
     assert m.fdp == pytest.approx(2 / 3)
     assert m.power == pytest.approx(1 / 2)
 
-    empty = SimulationMetrics.from_selection([], names, valid)
     assert empty.fdp == 0.0 and empty.fpr == 0.0 and empty.power == 0.0
 
 
@@ -210,3 +215,53 @@ def test_evaluation_experiment_validation():
         run_evaluation_experiment(rho_grid=(0.0, 1.5), n_sim=5)
     with pytest.raises(ConfigurationError):
         run_evaluation_experiment(n_sim=0)
+    # the same settings DgpConfig rejects, before any data is drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="sigma_corr must be >= 0"):
+            run_evaluation_experiment(sigma_corr=-0.02, n_sim=5)
+        for n in (0, 1):
+            with pytest.raises(ConfigurationError, match="need at least 2 per arm"):
+                run_evaluation_experiment(n=n, n_sim=5)
+
+
+# (config, test config, method, boundary margin): every case spans more than one kernel block
+DRIVER_CASES = {
+    "boundary margin, BH": (
+        DgpConfig(scenario="ten_pct_valid", n1=100, n0=100, p_total=100, seed=3),
+        TestConfig(), "bh", True),
+    "derived margin, BY, complex process, unequal arms": (
+        DgpConfig(dgp="complex", scenario="ten_pct_valid", n1=60, n0=45, p_total=170, seed=4),
+        TestConfig(power=0.9), "by", False),
+    "fixed margin, TOST, unadjusted, correlated nulls": (
+        DgpConfig(scenario="none_valid", n1=50, n0=70, p_total=150, sigma_corr=0.3, seed=5),
+        TestConfig(epsilon=0.5, mode="tost"), None, False),
+    "boundary margin, TOST, Bonferroni, correlated candidates": (
+        DgpConfig(scenario="ten_pct_valid", n1=80, n0=80, p_total=120, sigma_corr=0.2,
+                  target_u_s=0.95, seed=6),
+        TestConfig(mode="tost"), "bonferroni", True),
+}
+
+
+@pytest.mark.parametrize("cfg, test_config, method, boundary", DRIVER_CASES.values(),
+                         ids=DRIVER_CASES.keys())
+def test_screening_driver_equals_screen_of_each_replicate(cfg, test_config, method, boundary):
+    assert cfg.p_total > pipeline._BLOCK_BYTES // (8 * (cfg.n1 + cfg.n0))
+    n_sim = 3
+    experiment = run_screening_experiment(cfg, test_config, method=method, n_sim=n_sim,
+                                          boundary_epsilon=boundary, keep_pvalues=True)
+    for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_sim)):
+        sim = generate(cfg, np.random.default_rng(stream))
+        config = test_config
+        if boundary:
+            u_y = u_statistic_unpaired(sim.dataset.response_sample()).value
+            config = replace(test_config, epsilon=max(0.0, u_y - 0.5))
+        report = screen(sim.dataset, config, method)
+        raw = np.array([row.raw_p for row in report.rows])
+        assert experiment.raw_pvalues[i].tobytes() == raw.tobytes()
+        chosen = [name in report.selected for name in sim.dataset.names]
+        flags = list(zip(chosen, sim.valid))
+        m = experiment.metrics[i]
+        assert (m.tp, m.fp, m.tn, m.fn) == (
+            sum(s and v for s, v in flags), sum(s and not v for s, v in flags),
+            sum(not s and not v for s, v in flags), sum(not s and v for s, v in flags))
