@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import platform
@@ -36,8 +37,9 @@ import scipy
 from scipy.stats import mannwhitneyu
 
 from ingest import git_state
+from surrank import rankstats
 from surrank.inference import TestConfig, surrogate_test
-from surrank.rankstats import TwoArmSample, _placements
+from surrank.rankstats import TwoArmSample
 
 REPEATS = 7
 # calls per timed batch, so that each batch takes tens of milliseconds
@@ -57,6 +59,13 @@ def fix_mmap_threshold() -> bool:
         return False
 
 
+def design_kernel(design: str):
+    """The imported tree's kernel for ``design``: its design object's, or ``_placements``."""
+    if hasattr(rankstats, "_Design"):
+        return rankstats._Design.named(design).kernel
+    return functools.partial(rankstats._placements, design)
+
+
 def per_call(fn, calls: int) -> list[float]:
     fn()  # warm-up
     times = []
@@ -73,11 +82,12 @@ def time_case(name: str, n: int, k: int, rounded: bool, calls: int) -> dict:
     a, b = rng.normal(0.3, 1.0, (n, k)), rng.normal(0.0, 1.0, (n, k))
     if rounded:
         a, b = np.round(a), np.round(b)
-    placements = _placements("unpaired", a, b)
+    kernel = design_kernel("unpaired")
+    placements = kernel(a, b)
     expected = mannwhitneyu(a, b, axis=0).statistic / (n * n)
     if not np.array_equal(placements.u, expected):
         raise SystemExit(f"{name}: kernel U differs from scipy's Mann-Whitney U")
-    kernel_s = per_call(lambda: _placements("unpaired", a, b), calls)
+    kernel_s = per_call(lambda: kernel(a, b), calls)
     case = {"name": name, "n_per_arm": n, "k": k, "rounded": rounded,
             "levels": int(np.unique(np.concatenate([a, b])).size) if rounded else None,
             "calls_per_batch": calls,

@@ -9,8 +9,10 @@ per candidate column, the widths taking turns within each repeat.  Its
 three block heights are the screening splits of the benchmark workloads:
 unpaired 100 + 100 (one Monte-Carlo replicate of ``simulate``), unpaired
 112 + 112 (``screen_wide``) and 150 paired units (``rise_files``).  The
-cost per column drops where the kernel's temporaries, the largest
-8 * (n_a + n_b) bytes per column, stop crossing the mmap threshold.
+cost per column drops where the kernel's temporaries stop crossing the
+mmap threshold.  The largest takes the design's bytes per column: 8 (n_a +
+n_b) unpaired and 8 n_units paired (before the design object, the block
+rule counted 8 (n_a + n_b) for both).
 
 Then ``screen`` runs on a whole study at each of those heights (p = 100,
 10 000 and 3 000), with the minor page faults of one call, and
@@ -43,11 +45,10 @@ import scipy
 from scipy.stats import mannwhitneyu
 
 from ingest import git_state
-from kernel import MMAP_THRESHOLD, fix_mmap_threshold
-from surrank import pipeline
+from kernel import MMAP_THRESHOLD, design_kernel, fix_mmap_threshold
+from surrank import pipeline, rankstats
 from surrank.inference import TestConfig
 from surrank.pipeline import Dataset, screen
-from surrank.rankstats import _placements
 from surrank.simulate import DgpConfig, run_screening_experiment
 from surrank.variance import _gaps
 
@@ -86,8 +87,20 @@ def blocks(design: str, n_a: int, n_b: int, p: int):
     return a, b
 
 
+def gaps_design(design: str):
+    """What the imported tree's ``_gaps`` takes for ``design``: its design object, or the name."""
+    return rankstats._Design.named(design) if hasattr(rankstats, "_Design") else design
+
+
+def column_bytes(design: str, n_a: int, n_b: int) -> int:
+    """Bytes per candidate column that the imported tree's block rule counts."""
+    if hasattr(rankstats, "_Design"):
+        return rankstats._Design.named(design).column_bytes(n_a, n_b)
+    return 8 * (n_a + n_b)
+
+
 def check_u(design: str, a: np.ndarray, b: np.ndarray, name: str):
-    u = _placements(design, a, b).u
+    u = design_kernel(design)(a, b).u
     if design == "unpaired":
         expected = mannwhitneyu(a, b, axis=0).statistic / (a.shape[0] * b.shape[0])
     else:
@@ -101,10 +114,11 @@ def sweep(name: str, design: str, n_a: int, n_b: int) -> dict:
     check_u(design, a, b, name)
     response_a, response_b = a[:, :1], b[:, :1]
     candidates_a, candidates_b = a[:, 1:], b[:, 1:]
+    core_design = gaps_design(design)
 
     def run(width):
         for start in range(0, SWEEP_COLUMNS, width):
-            _gaps(design, np.hstack([response_a, candidates_a[:, start:start + width]]),
+            _gaps(core_design, np.hstack([response_a, candidates_a[:, start:start + width]]),
                   np.hstack([response_b, candidates_b[:, start:start + width]]))
 
     # the widths take turns within each repeat, so no width gets a heap shaped
@@ -116,7 +130,7 @@ def sweep(name: str, design: str, n_a: int, n_b: int) -> dict:
             start = perf_counter()
             run(width)
             passes[width].append(perf_counter() - start)
-    points = [{"width": width, "temporary_bytes": 8 * (n_a + n_b) * width,
+    points = [{"width": width, "temporary_bytes": column_bytes(design, n_a, n_b) * width,
                "us_per_column": median(passes[width]) / SWEEP_COLUMNS * 1e6,
                "pass_s_all": passes[width]} for width in WIDTHS]
     return {"name": name, "design": design, "n_a": n_a, "n_b": n_b,
@@ -152,8 +166,8 @@ def block_rule() -> dict:
     """How the imported tree sizes the column blocks of ``screen``."""
     if hasattr(pipeline, "_BLOCK_BYTES"):
         return {"block_bytes": pipeline._BLOCK_BYTES,
-                "widths": {name: max(1, pipeline._BLOCK_BYTES // (8 * (n_a + n_b)))
-                           for name, _, n_a, n_b, _, _ in HEIGHTS}}
+                "widths": {name: max(1, pipeline._BLOCK_BYTES // column_bytes(design, n_a, n_b))
+                           for name, design, n_a, n_b, _, _ in HEIGHTS}}
     return {"chunk_columns": pipeline._CHUNK_COLUMNS}
 
 

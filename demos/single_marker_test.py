@@ -15,7 +15,7 @@ from surrank import (
     TwoArmSample,
     select_epsilon,
     surrogate_test,
-    u_statistic_unpaired,
+    u_statistic,
 )
 
 rng = np.random.default_rng(11)
@@ -35,8 +35,8 @@ marker = TwoArmSample(
     control=response_control + rng.normal(0.0, 0.8, size=n0),
 )
 
-u_response = u_statistic_unpaired(response)
-u_marker = u_statistic_unpaired(marker)
+u_response = u_statistic(response)
+u_marker = u_statistic(marker)
 
 print("Mann-Whitney effect estimates")
 print(f"  response  u = {u_response.value:.4f}")
@@ -70,8 +70,9 @@ print(f"  epsilon = {adaptive.epsilon:.4f}")
 print(f"  p = {adaptive.p_value:.4g}  reject = {adaptive.reject}")
 print()
 
-# The margin can be reproduced directly from the response estimate.
-epsilon = select_epsilon(u_response, alpha=0.05, power=0.90, n1=n1, n0=n0)
+# The margin can be reproduced directly from the response estimate and the
+# sizes of the two blocks (here the two arms).
+epsilon = select_epsilon(u_response, n1, n0, alpha=0.05, power=0.90)
 print(f"  select_epsilon agrees: {epsilon:.4f}")
 print()
 

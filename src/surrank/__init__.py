@@ -49,8 +49,7 @@ from .rankstats import (
     g_kernel,
     normal_cdf,
     normal_quantile,
-    u_statistic_paired,
-    u_statistic_unpaired,
+    u_statistic,
 )
 from .simulate import (
     DgpConfig,
@@ -117,8 +116,7 @@ __all__ = [
     "select_epsilon",
     "split",
     "surrogate_test",
-    "u_statistic_paired",
-    "u_statistic_unpaired",
+    "u_statistic",
     "weight_floor",
     "weighted_standardized_sum",
     "__version__",

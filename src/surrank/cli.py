@@ -36,7 +36,7 @@ from .errors import DataError, NumericError, SurrankError, UsageError
 from .inference import TestConfig, surrogate_test
 from .multitest import Method
 from .pipeline import Dataset, _combined_marker, evaluate, run_pipeline, screen
-from .rankstats import _stack
+from .rankstats import _DESIGNS, _stack
 from .simulate import DgpConfig, run_evaluation_experiment, run_screening_experiment
 
 _MODES = {"noninf": "noninferiority", "tost": "tost"}
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--response", required=True, help="response file (delimited text)")
     parser.add_argument("--candidates", required=True, help="candidates file (delimited text)")
-    parser.add_argument("--design", choices=("unpaired", "paired"), default="unpaired")
+    parser.add_argument("--design", choices=tuple(_DESIGNS), default="unpaired")
     parser.add_argument("--subject-column", default="subject")
     parser.add_argument("--group-column", default=None,
                         help="arm or timepoint column (default: arm / timepoint)")

@@ -31,7 +31,7 @@ from scipy.stats import rankdata, spearmanr
 from .errors import IngestError
 from .inference import SurrogateTestResult
 from .pipeline import CombinedSurrogate, Dataset, ScreeningReport
-from .rankstats import Design
+from .rankstats import Design, _Design
 
 _MAX_REPORTED_PROBLEMS = 25
 
@@ -65,10 +65,7 @@ class IngestSpec:
     delimiter: str | None = None
 
     def __post_init__(self):
-        if self.design not in ("unpaired", "paired"):
-            raise IngestError(f"design must be 'unpaired' or 'paired', got {self.design!r}")
-        defaults = (("arm", "treated", "control") if self.design == "unpaired"
-                    else ("timepoint", "post", "pre"))
+        defaults = _Design.named(self.design, IngestError).groups
         for field, default in zip(("group_column", "group_a", "group_b"), defaults):
             if getattr(self, field) is None:
                 object.__setattr__(self, field, default)
@@ -341,7 +338,7 @@ def ingest(spec: IngestSpec) -> Dataset:
                 problems.add(f"{table.path}:{line}: subject {subject!r} is not in {other.path}")
     problems.raise_if_any()
 
-    if spec.design == "paired":
+    if _Design.named(spec.design).shared_units:
         for table in (resp, cand):
             for subject, line in table.subjects.items():
                 present = [g for g in (spec.group_a, spec.group_b)

@@ -80,12 +80,13 @@ class SurrogateTestResult:
         return self.p_value < self.alpha
 
 
-def select_epsilon(u_response: UEstimate, *, alpha: float = 0.05, power: float = 0.90,
-                   n1: int = 0, n0: int = 0, n: int = 0) -> float:
+def select_epsilon(u_response: UEstimate, n_a: int, n_b: int, *, alpha: float = 0.05,
+                   power: float = 0.90) -> float:
     """Margin that keeps the stated power against an uninformative candidate.
 
     A candidate with no treatment effect has U near 1/2 with null variance
-    determined by the design and sample size.  The margin is the response
+    determined by the design and the sizes of blocks a and b (the two arms,
+    or the same units twice).  The margin is the response
     effect minus the largest candidate effect
 
         u_star = 1/2 + sqrt(null_var) * (z_power + z_{1-alpha})
@@ -97,8 +98,7 @@ def select_epsilon(u_response: UEstimate, *, alpha: float = 0.05, power: float =
         raise ConfigurationError(f"alpha must be in (0, 0.5), got {alpha}")
     if not 0.0 < power < 1.0:
         raise ConfigurationError(f"power must be in (0, 1), got {power}")
-    var0 = null_u_variance(u_response.design, n1=n1, n0=n0, n=n,
-                           tie_fraction=u_response.tie_fraction)
+    var0 = null_u_variance(u_response.design, n_a, n_b, u_response.tie_fraction)
     u_star = 0.5 + np.sqrt(var0) * (normal_quantile(power) + normal_quantile(1.0 - alpha))
     return float(max(0.0, u_response.value - u_star))
 
@@ -107,8 +107,7 @@ def _margin(u_response: UEstimate, n_a: int, n_b: int, config: TestConfig) -> fl
     """The fixed margin, or the one derived from the response effect and block sizes."""
     if config.epsilon is not None:
         return config.epsilon
-    return select_epsilon(u_response, alpha=config.alpha, power=config.power,
-                          n1=n_a, n0=n_b, n=n_a)
+    return select_epsilon(u_response, n_a, n_b, alpha=config.alpha, power=config.power)
 
 
 def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, boundary: float,

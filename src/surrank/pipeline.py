@@ -23,11 +23,12 @@ from .errors import (
 from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results, \
     surrogate_test
 from .multitest import Method, adjust
-from .rankstats import Design, PairedSample, TwoArmSample, _sample
+from .rankstats import Design, PairedSample, TwoArmSample, _as_finite_vector, _Design
 from .variance import _gaps
 
-# Bytes of the kernel's largest float64 temporary, 8 * (n_a + n_b) per candidate
-# column, allowed per kernel call in `_screen_gaps`.  Under a 128 KiB mmap
+# Bytes of the kernel's largest float64 temporary allowed per kernel call in
+# `_screen_gaps`; the design's `column_bytes` gives its size per candidate column,
+# 8 * (n_a + n_b) unpaired and 8 * n_units paired.  Under a 128 KiB mmap
 # threshold bench/screen.py measures the cost per column jumping by a third or
 # more once that temporary passes about 95-115 KB (the kernel's arrays are then
 # mapped and page-faulted afresh on each call), and falling only slowly with the
@@ -69,15 +70,10 @@ class Dataset:
     ids_b: tuple[str, ...]
 
     def __post_init__(self):
-        if self.design not in ("unpaired", "paired"):
-            raise ConfigurationError(f"design must be 'unpaired' or 'paired', got {self.design!r}")
-        resp_a = np.asarray(self.response_a, dtype=float)
-        resp_b = np.asarray(self.response_b, dtype=float)
-        for arr, label in ((resp_a, "response_a"), (resp_b, "response_b")):
-            if arr.ndim != 1 or arr.size == 0:
-                raise InvalidInputError(f"{label} must be a non-empty vector")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{label} contains non-finite values")
+        # the design object; not a field, so equality ignores it
+        object.__setattr__(self, "_design", _Design.named(self.design, ConfigurationError))
+        resp_a = _as_finite_vector(self.response_a, "response_a")
+        resp_b = _as_finite_vector(self.response_b, "response_b")
         object.__setattr__(self, "response_a", resp_a)
         object.__setattr__(self, "response_b", resp_b)
         object.__setattr__(
@@ -109,37 +105,25 @@ class Dataset:
             raise AlignmentError("subject id count does not match observation count")
         if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
             raise InvalidInputError("subject ids must be unique within a block")
-        if self.design == "paired":
-            if resp_a.size != resp_b.size:
-                raise AlignmentError(
-                    f"paired blocks must have equal length, got {resp_a.size} and {resp_b.size}"
-                )
-            if ids_a != ids_b:
-                raise AlignmentError("paired blocks must list the same units in the same order")
+        if self._design.shared_units and ids_a != ids_b:
+            raise AlignmentError(f"{self.design} blocks must list the same units in order")
 
     @classmethod
     def unpaired(cls, response_treated, response_control, candidates_treated,
                  candidates_control, names=None, treated_ids=None, control_ids=None):
         """Build an independent two-arm dataset."""
-        resp_t = np.asarray(response_treated, dtype=float)
-        resp_c = np.asarray(response_control, dtype=float)
-        cand_t = np.asarray(candidates_treated, dtype=float)
-        names = _default_names(names, cand_t)
-        ids_t = _default_ids(treated_ids, resp_t.size, "t")
-        ids_c = _default_ids(control_ids, resp_c.size, "c")
-        return cls("unpaired", resp_t, resp_c, candidates_treated, candidates_control,
-                   names, ids_t, ids_c)
+        return cls("unpaired", response_treated, response_control, candidates_treated,
+                   candidates_control, _default_names(names, candidates_treated),
+                   _default_ids(treated_ids, response_treated, "t"),
+                   _default_ids(control_ids, response_control, "c"))
 
     @classmethod
     def paired(cls, response_post, response_pre, candidates_post, candidates_pre,
                names=None, subject_ids=None):
         """Build a paired (post, pre) dataset."""
-        resp_post = np.asarray(response_post, dtype=float)
-        cand_post = np.asarray(candidates_post, dtype=float)
-        names = _default_names(names, cand_post)
-        ids = _default_ids(subject_ids, resp_post.size, "u")
-        return cls("paired", resp_post, response_pre, candidates_post, candidates_pre,
-                   names, ids, ids)
+        ids = _default_ids(subject_ids, response_post, "u")
+        return cls("paired", response_post, response_pre, candidates_post, candidates_pre,
+                   _default_names(names, candidates_post), ids, ids)
 
     @property
     def p(self) -> int:
@@ -154,11 +138,11 @@ class Dataset:
         return self.response_b.size
 
     def response_sample(self):
-        return _sample(self.design, self.response_a, self.response_b)
+        return self._design.sample(self.response_a, self.response_b)
 
     def candidate_sample(self, name: str):
         j = self._column(name)
-        return _sample(self.design, self.candidates_a[:, j], self.candidates_b[:, j])
+        return self._design.sample(self.candidates_a[:, j], self.candidates_b[:, j])
 
     def _column(self, name: str) -> int:
         try:
@@ -182,18 +166,19 @@ class Dataset:
         )
 
 
-def _default_names(names, candidates: np.ndarray) -> tuple[str, ...]:
+def _default_names(names, candidates) -> tuple[str, ...]:
     if names is not None:
         return tuple(str(n) for n in names)
-    if candidates.ndim != 2:
-        raise InvalidInputError(f"candidates must be two-dimensional, got shape {candidates.shape}")
-    return tuple(f"S{j + 1}" for j in range(candidates.shape[1]))
+    shape = np.shape(candidates)
+    if len(shape) != 2:
+        raise InvalidInputError(f"candidates must be two-dimensional, got shape {shape}")
+    return tuple(f"S{j + 1}" for j in range(shape[1]))
 
 
-def _default_ids(ids, size: int, prefix: str) -> tuple[str, ...]:
+def _default_ids(ids, values, prefix: str) -> tuple[str, ...]:
     if ids is not None:
         return tuple(str(i) for i in ids)
-    return tuple(f"{prefix}{i + 1}" for i in range(size))
+    return tuple(f"{prefix}{i + 1}" for i in range(np.size(values)))
 
 
 @dataclass(frozen=True)
@@ -288,22 +273,19 @@ class PipelineResult:
 def split(data: Dataset, ratio: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Partition subjects into screening and evaluation splits.
 
-    floor(ratio * n) subjects go to screening; the unpaired design is
-    stratified so each arm is split at the same ratio.  The partition is
-    a deterministic function of the seed and the block sizes.
+    floor(ratio * n) subjects go to screening.  Blocks that list the same
+    units (paired) are split once; two arms (unpaired) are stratified so
+    each arm is split at the same ratio.  The partition is a deterministic
+    function of the seed and the block sizes.
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigurationError(f"split ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
-    if data.design == "paired":
-        first, second = _split_block(data.n_a, ratio, rng)
-        screening = data.take(first, first)
-        evaluation = data.take(second, second)
-    else:
-        first_a, second_a = _split_block(data.n_a, ratio, rng)
-        first_b, second_b = _split_block(data.n_b, ratio, rng)
-        screening = data.take(first_a, first_b)
-        evaluation = data.take(second_a, second_b)
+    first_a, second_a = _split_block(data.n_a, ratio, rng)
+    first_b, second_b = ((first_a, second_a) if data._design.shared_units
+                         else _split_block(data.n_b, ratio, rng))
+    screening = data.take(first_a, first_b)
+    evaluation = data.take(second_a, second_b)
     for part, label in ((screening, "screening"), (evaluation, "evaluation")):
         if part.n_a < 2 or part.n_b < 2:
             raise ConfigurationError(
@@ -329,7 +311,7 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     Candidates with no spread in either block are uninformative and are
     reported with p = 1 and the degenerate flag instead of a test.
     """
-    u_y, u_candidate, sigma, flat = _screen_gaps(data.design, data.response_a, data.response_b,
+    u_y, u_candidate, sigma, flat = _screen_gaps(data._design, data.response_a, data.response_b,
                                                  data.candidates_a, data.candidates_b)
     epsilon = _margin(u_y, data.n_a, data.n_b, config)
     delta, test, raw, adjusted = _screen_tests(u_y, u_candidate, sigma, flat, epsilon, config,
@@ -356,7 +338,7 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     )
 
 
-def _screen_gaps(design: Design, response_a: np.ndarray, response_b: np.ndarray,
+def _screen_gaps(design: _Design, response_a: np.ndarray, response_b: np.ndarray,
                  candidates_a: np.ndarray, candidates_b: np.ndarray):
     """U_y, each candidate's U, the standard error of its gap and its flat flag.
 
@@ -367,7 +349,7 @@ def _screen_gaps(design: Design, response_a: np.ndarray, response_b: np.ndarray,
     either block.
     """
     n_a, n_b = response_a.size, response_b.size
-    width = max(1, _BLOCK_BYTES // (8 * (n_a + n_b)))
+    width = max(1, _BLOCK_BYTES // design.column_bytes(n_a, n_b))
     blocks = [_gaps(design, np.column_stack([response_a, candidates_a[:, start:start + width]]),
                     np.column_stack([response_b, candidates_b[:, start:start + width]]))
               for start in range(0, candidates_a.shape[1], width)]
@@ -392,9 +374,7 @@ def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndar
 
 def weight_floor(design: Design, n_a: int, n_b: int) -> float:
     """Smallest gap magnitude distinguishable from zero on the estimate grid."""
-    if design == "unpaired":
-        return 1.0 / (2.0 * n_a * n_b)
-    return 1.0 / (4.0 * n_a)
+    return _Design.named(design).weight_floor(n_a, n_b)
 
 
 def weighted_standardized_sum(values_a: np.ndarray, values_b: np.ndarray, weights):
@@ -426,7 +406,7 @@ def _combined_marker(data: Dataset, names, weights):
     gamma_a, gamma_b, means, sds, degenerate = weighted_standardized_sum(
         data.candidates_a[:, cols], data.candidates_b[:, cols], weights
     )
-    return _sample(data.design, gamma_a, gamma_b), means, sds, degenerate
+    return data._design.sample(gamma_a, gamma_b), means, sds, degenerate
 
 
 def combine(data: Dataset, report: ScreeningReport):
@@ -477,7 +457,7 @@ def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
     evaluation = evaluate(data, gamma, config)
     members = selected[:_TOP_MARKERS]
     cols = [data._column(name) for name in members]
-    u_y, u, sigma, _ = _screen_gaps(data.design, data.response_a, data.response_b,
+    u_y, u, sigma, _ = _screen_gaps(data._design, data.response_a, data.response_b,
                                     data.candidates_a[:, cols], data.candidates_b[:, cols])
     return evaluation, tuple(zip(members, _results(u_y, u, sigma, evaluation.epsilon, config)))
 

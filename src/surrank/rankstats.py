@@ -10,18 +10,19 @@ the other arm's entries below its run plus half of those inside it (the
 midrank construction of Sun & Xu, 2014), so the order in which the sort
 leaves equal values cannot change a count.
 
-Each design has one kernel, :func:`_placements`, which works on whole
-blocks of variables at once and returns every observation's kernel sum
-against its comparison partners (DeLong's placement values, scaled by the
-partner count).  The U estimates, the variance of a gap between two U
-estimates and the single-variable estimators all derive from it, and
-only this module maps a design to its kernel and its sample type.
+Each design has one kernel, which works on whole blocks of variables at
+once and returns every observation's kernel sum against its comparison
+partners (DeLong's placement values, scaled by the partner count).  The U
+estimates, the variance of a gap between two U estimates and the
+single-variable estimator all derive from it.  Everything else that
+depends on the design lives beside its kernel in one :class:`_Design`
+object, and only :meth:`_Design.named` checks a design name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -53,14 +54,6 @@ class TwoArmSample:
         object.__setattr__(self, "treated", _as_finite_vector(self.treated, "treated"))
         object.__setattr__(self, "control", _as_finite_vector(self.control, "control"))
 
-    @property
-    def n1(self) -> int:
-        return self.treated.size
-
-    @property
-    def n0(self) -> int:
-        return self.control.size
-
 
 @dataclass(frozen=True)
 class PairedSample:
@@ -77,10 +70,6 @@ class PairedSample:
                 f"paired sample length mismatch: {self.post.size} post vs {self.pre.size} pre"
             )
 
-    @property
-    def n(self) -> int:
-        return self.post.size
-
 
 @dataclass(frozen=True)
 class UEstimate:
@@ -96,6 +85,7 @@ class UEstimate:
     tie_fraction: float
 
     def __post_init__(self):
+        _Design.named(self.design)
         if not 0.0 <= self.value <= 1.0:
             raise InvalidInputError(f"U estimate {self.value} outside [0, 1]")
         if not 0.0 <= self.tie_fraction <= 1.0:
@@ -146,17 +136,16 @@ class _Placements:
                          float(self.ties[row] / comparisons))
 
 
-def _placements(design: Design, a: np.ndarray, b: np.ndarray) -> _Placements:
-    """The design's kernel over an ``(n_a, k)`` and an ``(n_b, k)`` block.
+def _paired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
+    """The paired kernel: each unit's own (post, pre) comparison, row for row."""
+    post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    ties = post == pre
+    return _Placements("paired", ((post > pre) + 0.5 * ties,), (1,), (post.shape[1],),
+                       ties.sum(axis=1))
 
-    Unpaired blocks are the two arms; paired blocks are the post and pre
-    measurements of the same units, row for row.
-    """
-    if design == "paired":
-        post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-        ties = post == pre
-        return _Placements(design, ((post > pre) + 0.5 * ties,), (1,), (post.shape[1],),
-                           ties.sum(axis=1))
+
+def _unpaired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
+    """The unpaired kernel: every treated entry against every control, per row."""
     (n_a, k), n_b = a.shape, b.shape[0]
     n = n_a + n_b
     pooled = np.concatenate([a.T, b.T], axis=1)
@@ -192,25 +181,69 @@ def _placements(design: Design, a: np.ndarray, b: np.ndarray) -> _Placements:
     control += n_a * (rows + 1)
     tied = (a_at[1:] - a_at[:-1]) * (b_at[1:] - b_at[:-1])
     ties = np.add.reduceat(tied, run[::n] - 1)
-    return _Placements(design, (treated, control), (n_b, n_a), (n_a, n_b), ties)
+    return _Placements("unpaired", (treated, control), (n_b, n_a), (n_a, n_b), ties)
 
 
-def _sample(design: Design, values_a, values_b):
-    """Per-subject values of the two blocks as the design's sample type."""
-    if design == "unpaired":
-        return TwoArmSample(treated=values_a, control=values_b)
-    return PairedSample(post=values_a, pre=values_b)
+@dataclass(frozen=True)
+class _Design:
+    """What depends on the study design: one instance per design, in ``_DESIGNS``.
+
+    ``shared_units`` says whether blocks a and b list the same units row for
+    row (post and pre) rather than two arms.  ``kernel`` takes an ``(n_a, k)``
+    and an ``(n_b, k)`` block.  ``groups`` holds the default group column and
+    the labels of blocks a and b in input files.
+    """
+
+    name: str
+    sample: type
+    shared_units: bool
+    kernel: Callable[[np.ndarray, np.ndarray], _Placements]
+    null_variance: Callable[[int, int, float], float]  # of one U, given the tie fraction
+    weight_floor: Callable[[int, int], float]  # floor of |gap| in the combination weights
+    groups: tuple[str, str, str]
+
+    def __reduce__(self):
+        return _Design.named, (self.name,)  # by name: the callables are lambdas
+
+    def column_bytes(self, n_a: int, n_b: int) -> int:
+        """Bytes per column of the kernel's largest float64 temporary."""
+        return 8 * (n_a if self.shared_units else n_a + n_b)
+
+    @staticmethod
+    def named(name, error: type[Exception] = InvalidInputError) -> "_Design":
+        """The design called ``name``; any other name raises ``error``."""
+        try:
+            return _DESIGNS[name]
+        except (KeyError, TypeError):
+            raise error(f"design must be {' or '.join(map(repr, _DESIGNS))}, "
+                        f"got {name!r}") from None
 
 
-def _stack(response, candidate) -> tuple[Design, np.ndarray, np.ndarray]:
+_DESIGNS = {design.name: design for design in (
+    # the continuous-data Mann-Whitney null variance; U grid k / (2 n_a n_b)
+    _Design("unpaired", TwoArmSample, False, _unpaired_placements,
+            lambda n_a, n_b, tie_fraction: (n_a + n_b + 1) / (12.0 * n_a * n_b),
+            lambda n_a, n_b: 1.0 / (2.0 * n_a * n_b), ("arm", "treated", "control")),
+    # a Bernoulli win indicator deflated by the observed tie mass; U grid k / (2 n_a)
+    _Design("paired", PairedSample, True, _paired_placements,
+            lambda n_a, n_b, tie_fraction: (1.0 - tie_fraction) / (4.0 * n_a),
+            lambda n_a, n_b: 1.0 / (4.0 * n_a), ("timepoint", "post", "pre")),
+)}
+
+
+def _unpack(sample) -> tuple[_Design, np.ndarray, np.ndarray]:
+    """A sample's design, found from its type, and its blocks a and b."""
+    for design in _DESIGNS.values():
+        if isinstance(sample, design.sample):
+            return (design, *[getattr(sample, name) for name in sample.__dataclass_fields__])
+    raise AlignmentError(f"{type(sample).__name__} is not the sample type of any design")
+
+
+def _stack(response, candidate) -> tuple[_Design, np.ndarray, np.ndarray]:
     """A response and a candidate sample as the two columns of the design's blocks."""
-    if isinstance(response, TwoArmSample) and isinstance(candidate, TwoArmSample):
-        design = "unpaired"
-        y, s = (response.treated, response.control), (candidate.treated, candidate.control)
-    elif isinstance(response, PairedSample) and isinstance(candidate, PairedSample):
-        design = "paired"
-        y, s = (response.post, response.pre), (candidate.post, candidate.pre)
-    else:
+    design, *y = _unpack(response)
+    other, *s = _unpack(candidate)
+    if other is not design:
         raise AlignmentError("response and candidate must both be unpaired or both paired")
     y_sizes, s_sizes = tuple(v.size for v in y), tuple(v.size for v in s)
     if y_sizes != s_sizes:
@@ -220,22 +253,15 @@ def _stack(response, candidate) -> tuple[Design, np.ndarray, np.ndarray]:
     return design, np.array([y[0], s[0]]).T, np.array([y[1], s[1]]).T
 
 
-def u_statistic_unpaired(sample: TwoArmSample) -> UEstimate:
-    """Mann-Whitney-type estimate over all treated-control pairs.
+def u_statistic(sample) -> UEstimate:
+    """Mann-Whitney-type estimate of one variable's treatment effect.
 
-    Returns the average of the win/tie kernel over the n1 * n0 pairwise
-    comparisons, which lies on the grid k / (2 * n1 * n0).
+    Averages the win/tie kernel over the n1 * n0 treated-control pairs of a
+    :class:`TwoArmSample` (grid k / (2 * n1 * n0)), or over the n within-unit
+    (post, pre) pairs of a :class:`PairedSample` (grid k / (2 * n)).
     """
-    return _placements("unpaired", sample.treated[:, None], sample.control[:, None]).estimate(0)
-
-
-def u_statistic_paired(sample: PairedSample) -> UEstimate:
-    """Within-unit win proportion for paired measurements.
-
-    Averages the win/tie kernel over the n unit-level (post, pre)
-    comparisons; values lie on the grid k / (2 * n).
-    """
-    return _placements("paired", sample.post[:, None], sample.pre[:, None]).estimate(0)
+    design, a, b = _unpack(sample)
+    return design.kernel(a[:, None], b[:, None]).estimate(0)
 
 
 def normal_cdf(z) -> float | np.ndarray:

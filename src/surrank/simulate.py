@@ -21,7 +21,7 @@ from .errors import ConfigurationError, NumericError
 from .inference import TestConfig, _margin, surrogate_test
 from .multitest import Method
 from .pipeline import Dataset, _screen_gaps, _screen_tests, weighted_standardized_sum
-from .rankstats import TwoArmSample, normal_cdf, normal_quantile
+from .rankstats import _DESIGNS, TwoArmSample, normal_cdf, normal_quantile
 
 Dgp = Literal["normal", "complex"]
 Scenario = Literal["none_valid", "ten_pct_valid"]
@@ -334,7 +334,7 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     for i, stream in enumerate(streams):
         drawn = _draw(np.random.default_rng(stream), cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid,
                       cfg.p_valid, sigma_valid, cfg.sigma_corr)
-        u_y, u_candidate, sigma, flat = _screen_gaps("unpaired", *drawn)
+        u_y, u_candidate, sigma, flat = _screen_gaps(_DESIGNS["unpaired"], *drawn)
         epsilon = (max(0.0, u_y.value - 0.5) if boundary_epsilon
                    else _margin(u_y, cfg.n1, cfg.n0, test_config))
         _, _, raw[i], adjusted[i] = _screen_tests(u_y, u_candidate, sigma, flat, epsilon,

@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .rankstats import Design, UEstimate, _placements
+from .rankstats import Design, UEstimate, _Design
 
 
-def _gaps(design: Design, a: np.ndarray, b: np.ndarray
+def _gaps(design: _Design, a: np.ndarray, b: np.ndarray
           ) -> tuple[UEstimate, np.ndarray, np.ndarray]:
     """U_y, the candidates' U and the standard errors of their gaps to U_y.
 
@@ -31,9 +31,9 @@ def _gaps(design: Design, a: np.ndarray, b: np.ndarray
     """
     smallest = min(a.shape[0], b.shape[0])
     if smallest < 2:
-        label = "units" if design == "paired" else "observations per arm"
+        label = "units" if design.shared_units else "observations per arm"
         raise InsufficientDataError(f"need at least 2 {label}, got {smallest}")
-    placements = _placements(design, a, b)
+    placements = design.kernel(a, b)
     u_y, u = placements.estimate(0), placements.u[1:]
     variance = 0.0
     for counts, partners, size in zip(placements.counts, placements.partners,
@@ -45,22 +45,18 @@ def _gaps(design: Design, a: np.ndarray, b: np.ndarray
     return u_y, u, np.sqrt(variance)
 
 
-def null_u_variance(design: Design, *, n1: int = 0, n0: int = 0, n: int = 0,
-                    tie_fraction: float = 0.0) -> float:
-    """Variance of a single U estimate under no treatment effect.
+def null_u_variance(design: Design, n_a: int, n_b: int, tie_fraction: float = 0.0) -> float:
+    """Variance of a single U estimate under no treatment effect, from the block sizes.
 
-    Unpaired: (n1 + n0 + 1) / (12 * n1 * n0), the continuous-data
-    Mann-Whitney null variance.  Paired: (1 - tie_fraction) / (4 * n),
-    a Bernoulli win indicator deflated by the observed tie mass.
+    Unpaired: (n_a + n_b + 1) / (12 * n_a * n_b), the continuous-data
+    Mann-Whitney null variance.  Paired, where both blocks list the same
+    n_a units: (1 - tie_fraction) / (4 * n_a), a Bernoulli win indicator
+    deflated by the observed tie mass.
     """
-    if design == "unpaired":
-        if n1 < 1 or n0 < 1:
-            raise InvalidInputError("unpaired null variance needs n1 >= 1 and n0 >= 1")
-        return (n1 + n0 + 1) / (12.0 * n1 * n0)
-    if design == "paired":
-        if n < 1:
-            raise InvalidInputError("paired null variance needs n >= 1")
-        if not 0.0 <= tie_fraction <= 1.0:
-            raise InvalidInputError(f"tie fraction {tie_fraction} outside [0, 1]")
-        return (1.0 - tie_fraction) / (4.0 * n)
-    raise InvalidInputError(f"unknown design {design!r}")
+    spec = _Design.named(design)
+    if min(n_a, n_b) < 1 or spec.shared_units and n_b != n_a:
+        raise InvalidInputError(f"{design} null variance needs block sizes of at least 1, "
+                                f"equal if the blocks share units; got {n_a} and {n_b}")
+    if not 0.0 <= tie_fraction <= 1.0:
+        raise InvalidInputError(f"tie fraction {tie_fraction} outside [0, 1]")
+    return spec.null_variance(n_a, n_b, tie_fraction)

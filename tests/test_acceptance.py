@@ -23,7 +23,7 @@ from surrank.cli import main
 from surrank.dataio import read_table
 from surrank.inference import _assemble, surrogate_test
 from surrank.multitest import adjust
-from surrank.rankstats import PairedSample, TwoArmSample, u_statistic_paired, u_statistic_unpaired
+from surrank.rankstats import PairedSample, TwoArmSample, u_statistic
 from surrank.simulate import (
     DgpConfig,
     calibrate_sigma_valid,
@@ -62,7 +62,7 @@ def test_criterion_01_u_statistics_match_brute_force_enumeration():
         else:
             treated = rng.integers(0, 6, size=n1).astype(float)
             control = rng.integers(0, 6, size=n0).astype(float)
-        value = u_statistic_unpaired(TwoArmSample(treated=treated, control=control)).value
+        value = u_statistic(TwoArmSample(treated=treated, control=control)).value
         brute = sum(
             _pair_kernel(a, b) for a in treated for b in control
         ) / (n1 * n0)
@@ -75,7 +75,7 @@ def test_criterion_01_u_statistics_match_brute_force_enumeration():
         else:
             post = rng.integers(0, 4, size=n).astype(float)
             pre = rng.integers(0, 4, size=n).astype(float)
-        value = u_statistic_paired(PairedSample(post=post, pre=pre)).value
+        value = u_statistic(PairedSample(post=post, pre=pre)).value
         brute = sum(_pair_kernel(a, b) for a, b in zip(post, pre)) / n
         mismatches += value != brute
     elapsed = perf_counter() - start
@@ -286,7 +286,7 @@ def test_criterion_09_data_generation_hits_its_calibration_targets():
     cfg = DgpConfig(scenario="none_valid", n1=500_000, n0=500_000, p_total=1,
                     seed=90009)
     sim = generate(cfg)
-    u_response = u_statistic_unpaired(sim.dataset.response_sample()).value
+    u_response = u_statistic(sim.dataset.response_sample()).value
     gap_response = abs(u_response - response_effect())
 
     sigma_normal = calibrate_sigma_valid("normal", 0.9)

@@ -311,3 +311,10 @@ def test_missing_command_and_help(capsys):
 def test_unknown_correction_is_usage_error(files):
     _, resp, cand = files
     assert main(["screen", *base(resp, cand), "--correction", "fancy"]) == 1
+
+
+def test_unknown_design_is_usage_error_naming_both_designs(files, capsys):
+    _, resp, cand = files
+    assert main(["screen", *base(resp, cand), "--design", "crossover"]) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("crossover", "unpaired", "paired"))

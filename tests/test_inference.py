@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from surrank.errors import AlignmentError, ConfigurationError
+from surrank.errors import AlignmentError, ConfigurationError, InvalidInputError
 from surrank.inference import TestConfig, _assemble, select_epsilon, surrogate_test
-from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, _stack, \
-    u_statistic_unpaired
+from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, _stack, u_statistic
 from surrank.variance import _gaps
 
 
@@ -19,28 +18,43 @@ def assemble(delta, sigma, epsilon, alpha=0.05, mode="noninferiority"):
 def test_select_epsilon_unpaired_reference():
     # null var 51/7500, z_0.90 + z_0.95 = 2.9264 -> u_star 0.74132
     u_y = UEstimate(value=0.97, design="unpaired", tie_fraction=0.0)
-    eps = select_epsilon(u_y, alpha=0.05, power=0.90, n1=25, n0=25)
+    eps = select_epsilon(u_y, 25, 25, alpha=0.05, power=0.90)
     assert eps == pytest.approx(0.22868, abs=1e-4)
 
 
 def test_select_epsilon_paired_reference():
     # null var 1/308 with no ties -> u_star 0.66675
     u_y = UEstimate(value=0.97, design="paired", tie_fraction=0.0)
-    eps = select_epsilon(u_y, alpha=0.05, power=0.90, n=77)
+    eps = select_epsilon(u_y, 77, 77, alpha=0.05, power=0.90)
     assert eps == pytest.approx(0.30325, abs=1e-4)
+
+
+def test_select_epsilon_takes_block_sizes_for_both_designs():
+    # the paired null variance reads n_a units; the unpaired one both arm sizes
+    unpaired = UEstimate(value=0.9, design="unpaired", tie_fraction=0.0)
+    paired = UEstimate(value=0.9, design="paired", tie_fraction=0.0)
+    z = 2.9264  # z_0.90 + z_0.95
+    assert select_epsilon(unpaired, 25, 25) == pytest.approx(0.4 - np.sqrt(51.0 / 7500.0) * z,
+                                                             abs=1e-4)
+    assert select_epsilon(unpaired, 50, 20) == pytest.approx(0.4 - np.sqrt(71.0 / 12000.0) * z,
+                                                             abs=1e-4)
+    assert select_epsilon(paired, 25, 25) == pytest.approx(0.4 - np.sqrt(1.0 / 100.0) * z,
+                                                           abs=1e-4)
+    with pytest.raises(InvalidInputError, match="equal if the blocks share units"):
+        select_epsilon(paired, 25, 24)
 
 
 def test_select_epsilon_uses_tie_fraction():
     heavy_ties = UEstimate(value=0.97, design="paired", tie_fraction=0.75)
     no_ties = UEstimate(value=0.97, design="paired", tie_fraction=0.0)
-    eps_ties = select_epsilon(heavy_ties, n=77)
-    eps_none = select_epsilon(no_ties, n=77)
+    eps_ties = select_epsilon(heavy_ties, 77, 77)
+    eps_none = select_epsilon(no_ties, 77, 77)
     assert eps_ties > eps_none
 
 
 def test_select_epsilon_floors_at_zero():
     u_y = UEstimate(value=0.52, design="paired", tie_fraction=0.0)
-    assert select_epsilon(u_y, n=10) == 0.0
+    assert select_epsilon(u_y, 10, 10) == 0.0
 
 
 def test_noninferiority_p_value():
@@ -125,8 +139,8 @@ def test_surrogate_test_matches_manual_assembly():
         control=response.control + rng.normal(0, 1, 25),
     )
     res = surrogate_test(response, candidate, TestConfig(epsilon=0.15))
-    u_y = u_statistic_unpaired(response).value
-    u_s = u_statistic_unpaired(candidate).value
+    u_y = u_statistic(response).value
+    u_s = u_statistic(candidate).value
     _, _, sigma = _gaps(*_stack(response, candidate))
     manual = assemble(u_y - u_s, float(sigma[0]), epsilon=0.15)
     assert (res.u_response, res.u_candidate, res.delta, res.sigma, res.epsilon) == (
@@ -165,4 +179,4 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         TestConfig(mode="equivalence")
     with pytest.raises(ConfigurationError):
-        select_epsilon(UEstimate(0.9, "paired", 0.0), alpha=0.5, n=10)
+        select_epsilon(UEstimate(0.9, "paired", 0.0), 10, 10, alpha=0.5)

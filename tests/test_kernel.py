@@ -15,7 +15,7 @@ from hypothesis import given
 from surrank import pipeline
 from surrank.inference import TestConfig, surrogate_test
 from surrank.pipeline import Dataset, screen
-from surrank.rankstats import _placements, g_kernel, u_statistic_paired, u_statistic_unpaired
+from surrank.rankstats import _Design, g_kernel, u_statistic
 
 
 @st.composite
@@ -52,19 +52,15 @@ def brute_force_variance(design, y_a, y_b, s_a, s_b):
             + np.var(g_y.mean(axis=0) - g_s.mean(axis=0), ddof=1) / len(y_b))
 
 
-def single_u(design, sample):
-    return (u_statistic_paired if design == "paired" else u_statistic_unpaired)(sample).value
-
-
 @given(studies())
 def test_u_equals_brute_force_kernel(data):
     report = screen(data, TestConfig())
     assert report.u_response == brute_force_u(data.design, data.response_a, data.response_b)
-    assert single_u(data.design, data.response_sample()) == report.u_response
+    assert u_statistic(data.response_sample()).value == report.u_response
     for j, row in enumerate(report.rows):
         expected = brute_force_u(data.design, data.candidates_a[:, j], data.candidates_b[:, j])
         assert row.u_candidate == expected
-        assert single_u(data.design, data.candidate_sample(row.name)) == expected
+        assert u_statistic(data.candidate_sample(row.name)).value == expected
 
 
 @given(studies())
@@ -92,30 +88,31 @@ def assert_rows_match_single_tests(data, report, config):
 def test_screen_rows_equal_single_marker_tests(data, chunk, mode):
     config = TestConfig(mode=mode)
     # a budget of `chunk` columns of the largest temporary gives blocks `chunk` wide
-    with mock.patch.object(pipeline, "_BLOCK_BYTES", chunk * 8 * (data.n_a + data.n_b)):
+    column_bytes = _Design.named(data.design).column_bytes(data.n_a, data.n_b)
+    with mock.patch.object(pipeline, "_BLOCK_BYTES", chunk * column_bytes):
         report = screen(data, config, method=None)
     assert report.epsilon_used == surrogate_test(
         data.response_sample(), data.candidate_sample(data.names[0]), config).epsilon
     assert_rows_match_single_tests(data, report, config)
 
 
-def assert_rows_match_single_tests_across_blocks(build, n_a, n_b):
+def assert_rows_match_single_tests_across_blocks(design, n_a, n_b):
     # p crosses two boundaries of the block width `screen` derives at these heights
     rng = np.random.default_rng(5)
-    p = 2 * (pipeline._BLOCK_BYTES // (8 * (n_a + n_b))) + 3
-    data = build(rng.integers(0, 6, n_a).astype(float), rng.integers(0, 4, n_b).astype(float),
-                 rng.integers(0, 5, (n_a, p)).astype(float),
-                 rng.integers(0, 5, (n_b, p)).astype(float))
+    p = 2 * (pipeline._BLOCK_BYTES // _Design.named(design).column_bytes(n_a, n_b)) + 3
+    data = getattr(Dataset, design)(
+        rng.integers(0, 6, n_a).astype(float), rng.integers(0, 4, n_b).astype(float),
+        rng.integers(0, 5, (n_a, p)).astype(float), rng.integers(0, 5, (n_b, p)).astype(float))
     config = TestConfig(mode="tost")
     assert_rows_match_single_tests(data, screen(data, config, method=None), config)
 
 
 def test_screen_rows_equal_single_marker_tests_across_chunks():
-    assert_rows_match_single_tests_across_blocks(Dataset.unpaired, 30, 25)
+    assert_rows_match_single_tests_across_blocks("unpaired", 30, 25)
 
 
 def test_screen_rows_equal_single_marker_tests_across_chunks_paired():
-    assert_rows_match_single_tests_across_blocks(Dataset.paired, 40, 40)
+    assert_rows_match_single_tests_across_blocks("paired", 40, 40)
 
 
 @given(studies(), st.randoms(use_true_random=False))
@@ -155,7 +152,8 @@ def test_permuting_subjects_moves_their_counts_and_keeps_every_row(data, random)
     moved = Dataset(data.design, data.response_a[perm_a], data.response_b[perm_b],
                     data.candidates_a[perm_a], data.candidates_b[perm_b], data.names,
                     [data.ids_a[i] for i in perm_a], [data.ids_b[i] for i in perm_b])
-    before, after = _placements(data.design, *blocks(data)), _placements(data.design, *blocks(moved))
+    kernel = _Design.named(data.design).kernel
+    before, after = kernel(*blocks(data)), kernel(*blocks(moved))
     for side_before, side_after, perm in zip(before.counts, after.counts, (perm_a, perm_b)):
         assert np.array_equal(side_after, side_before[:, perm])
     assert np.array_equal(after.ties, before.ties)
@@ -192,7 +190,7 @@ def test_kernel_counts_equal_brute_force_on_edge_cases(treated, control):
     # the case column, then its reverse, so the second row's offsets are checked too
     a = np.column_stack([treated, treated[::-1]])
     b = np.column_stack([control, control[::-1]])
-    placements = _placements("unpaired", a, b)
+    placements = _Design.named("unpaired").kernel(a, b)
     treated_counts, control_counts = placements.counts
     for row in range(2):
         x, y = a[:, row], b[:, row]

@@ -24,7 +24,7 @@ from surrank.pipeline import (
     weight_floor,
     weighted_standardized_sum,
 )
-from surrank.rankstats import PairedSample, TwoArmSample, u_statistic_unpaired
+from surrank.rankstats import PairedSample, TwoArmSample, u_statistic
 
 
 def make_unpaired(n1=40, n0=35, n_valid=3, n_noise=4, seed=0, noise_sd=0.8):
@@ -54,6 +54,9 @@ def test_dataset_validation():
         Dataset.paired([1.0, np.nan], [0.0, 1.0], [[1.0], [2.0]], [[0.0], [1.0]])
     with pytest.raises(AlignmentError):
         Dataset.paired([1.0, 2.0, 3.0], [0.0, 1.0], [[1.0], [2.0], [3.0]], [[0.0], [1.0]])
+    with pytest.raises(ConfigurationError, match="'crossover'"):
+        Dataset("crossover", [1.0, 2.0], [0.0, 1.0], [[1.0], [2.0]], [[0.0], [1.0]], ["a"],
+                ["u1", "u2"], ["u1", "u2"])
 
 
 def test_dataset_accessors():
@@ -61,7 +64,7 @@ def test_dataset_accessors():
     assert data.p == 2
     resp = data.response_sample()
     assert isinstance(resp, TwoArmSample)
-    assert resp.n1 == 6 and resp.n0 == 5
+    assert resp.treated.size == 6 and resp.control.size == 5
     cand = data.candidate_sample("good0")
     assert cand.treated.shape == (6,)
     with pytest.raises(InvalidInputError):
@@ -127,8 +130,7 @@ def test_screen_shares_one_epsilon():
     data = make_unpaired()
     report = screen(data, TestConfig(alpha=0.05, power=0.90))
     expected = select_epsilon(
-        u_statistic_unpaired(data.response_sample()), alpha=0.05, power=0.90,
-        n1=data.n_a, n0=data.n_b,
+        u_statistic(data.response_sample()), data.n_a, data.n_b, alpha=0.05, power=0.90,
     )
     assert report.epsilon_used == expected
 

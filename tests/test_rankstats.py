@@ -9,8 +9,7 @@ from surrank.rankstats import (
     g_kernel,
     normal_cdf,
     normal_quantile,
-    u_statistic_paired,
-    u_statistic_unpaired,
+    u_statistic,
 )
 
 
@@ -37,7 +36,7 @@ def test_g_kernel_rejects_non_finite():
 
 def test_unpaired_small_example():
     # pairs (3,1) (3,4) (5,1) (5,4) -> kernel values 1, 0, 1, 1
-    est = u_statistic_unpaired(TwoArmSample(treated=[3.0, 5.0], control=[1.0, 4.0]))
+    est = u_statistic(TwoArmSample(treated=[3.0, 5.0], control=[1.0, 4.0]))
     assert est.value == 0.75
     assert est.tie_fraction == 0.0
     assert est.design == "unpaired"
@@ -45,14 +44,14 @@ def test_unpaired_small_example():
 
 def test_unpaired_ties_contribute_half():
     # pairs (1,1) (1,2) (2,1) (2,2) -> 0.5, 0, 1, 0.5
-    est = u_statistic_unpaired(TwoArmSample(treated=[1.0, 2.0], control=[1.0, 2.0]))
+    est = u_statistic(TwoArmSample(treated=[1.0, 2.0], control=[1.0, 2.0]))
     assert est.value == 0.5
     assert est.tie_fraction == 0.5
 
 
 def test_paired_small_example():
     # units (2,1) (3,1) (1,1) -> 1, 1, 0.5
-    est = u_statistic_paired(PairedSample(post=[2.0, 3.0, 1.0], pre=[1.0, 1.0, 1.0]))
+    est = u_statistic(PairedSample(post=[2.0, 3.0, 1.0], pre=[1.0, 1.0, 1.0]))
     assert est.value == 5.0 / 6.0
     assert est.tie_fraction == 1.0 / 3.0
     assert est.design == "paired"
@@ -65,7 +64,7 @@ def test_unpaired_matches_brute_force():
         n0 = rng.integers(2, 40)
         treated = np.round(rng.normal(size=n1), 1)
         control = np.round(rng.normal(size=n0), 1)
-        est = u_statistic_unpaired(TwoArmSample(treated=treated, control=control))
+        est = u_statistic(TwoArmSample(treated=treated, control=control))
         assert est.value == brute_force_unpaired(treated, control)
 
 
@@ -74,8 +73,8 @@ def test_arm_swap_antisymmetry():
     for _ in range(20):
         treated = np.round(rng.normal(size=15), 1)
         control = np.round(rng.normal(size=12), 1)
-        forward = u_statistic_unpaired(TwoArmSample(treated=treated, control=control)).value
-        backward = u_statistic_unpaired(TwoArmSample(treated=control, control=treated)).value
+        forward = u_statistic(TwoArmSample(treated=treated, control=control)).value
+        backward = u_statistic(TwoArmSample(treated=control, control=treated)).value
         assert forward + backward == 1.0
 
 
@@ -83,9 +82,9 @@ def test_monotone_transform_invariance():
     rng = np.random.default_rng(13)
     treated = rng.normal(size=25)
     control = rng.normal(size=30)
-    base = u_statistic_unpaired(TwoArmSample(treated=treated, control=control)).value
+    base = u_statistic(TwoArmSample(treated=treated, control=control)).value
     for f in (np.exp, lambda x: x**3, lambda x: 2.0 * x - 7.0):
-        transformed = u_statistic_unpaired(
+        transformed = u_statistic(
             TwoArmSample(treated=f(treated), control=f(control))
         ).value
         assert transformed == base
@@ -100,7 +99,7 @@ def test_unpaired_values_on_half_grid():
             treated=rng.integers(0, 5, size=n1).astype(float),
             control=rng.integers(0, 5, size=n0).astype(float),
         )
-        doubled = 2 * n1 * n0 * u_statistic_unpaired(sample).value
+        doubled = 2 * n1 * n0 * u_statistic(sample).value
         assert doubled == pytest.approx(round(doubled), abs=1e-9)
 
 
@@ -112,7 +111,7 @@ def test_paired_values_on_half_grid():
             post=rng.integers(0, 4, size=n).astype(float),
             pre=rng.integers(0, 4, size=n).astype(float),
         )
-        doubled = 2 * n * u_statistic_paired(sample).value
+        doubled = 2 * n * u_statistic(sample).value
         assert doubled == pytest.approx(round(doubled), abs=1e-9)
 
 
@@ -121,6 +120,11 @@ def test_u_estimate_bounds_enforced():
         UEstimate(value=1.2, design="unpaired", tie_fraction=0.0)
     with pytest.raises(InvalidInputError):
         UEstimate(value=0.5, design="paired", tie_fraction=-0.1)
+
+
+def test_u_estimate_rejects_unknown_design():
+    with pytest.raises(InvalidInputError, match="'crossover'"):
+        UEstimate(0.5, "crossover", 0.0)
 
 
 def test_sample_validation():

@@ -10,7 +10,7 @@ from surrank import pipeline
 from surrank.errors import ConfigurationError
 from surrank.inference import TestConfig
 from surrank.pipeline import screen
-from surrank.rankstats import u_statistic_unpaired
+from surrank.rankstats import u_statistic
 from surrank.simulate import (
     DgpConfig,
     _confusion,
@@ -105,7 +105,7 @@ def test_valid_candidates_track_the_response():
                     target_u_s=0.9, seed=5)
     sim = generate(cfg)
     for name, is_valid in zip(sim.dataset.names, sim.valid):
-        u = u_statistic_unpaired(sim.dataset.candidate_sample(name)).value
+        u = u_statistic(sim.dataset.candidate_sample(name)).value
         if is_valid:
             assert abs(u - 0.9) < 0.06
         else:
@@ -119,7 +119,7 @@ def test_complex_invalid_candidates_are_exponential_noise():
     assert (sim.dataset.candidates_a >= 0).all()
     assert (sim.dataset.candidates_b >= 0).all()
     for name in sim.dataset.names:
-        u = u_statistic_unpaired(sim.dataset.candidate_sample(name)).value
+        u = u_statistic(sim.dataset.candidate_sample(name)).value
         assert abs(u - 0.5) < 0.12
 
 
@@ -148,7 +148,7 @@ def test_non_positive_definite_covariance_reports_eigenvalue():
 def test_response_sampler_matches_theoretical_effect():
     cfg = DgpConfig(scenario="none_valid", n1=20_000, n0=20_000, p_total=1, seed=42)
     sim = generate(cfg)
-    u = u_statistic_unpaired(sim.dataset.response_sample()).value
+    u = u_statistic(sim.dataset.response_sample()).value
     assert abs(u - response_effect()) < 0.01
 
 
@@ -254,7 +254,7 @@ def test_screening_driver_equals_screen_of_each_replicate(cfg, test_config, meth
         sim = generate(cfg, np.random.default_rng(stream))
         config = test_config
         if boundary:
-            u_y = u_statistic_unpaired(sim.dataset.response_sample()).value
+            u_y = u_statistic(sim.dataset.response_sample()).value
             config = replace(test_config, epsilon=max(0.0, u_y - 0.5))
         report = screen(sim.dataset, config, method)
         raw = np.array([row.raw_p for row in report.rows])

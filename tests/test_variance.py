@@ -3,7 +3,7 @@ import pytest
 
 from surrank.errors import AlignmentError, InsufficientDataError, InvalidInputError
 from surrank.inference import surrogate_test
-from surrank.rankstats import PairedSample, TwoArmSample, _placements, _stack
+from surrank.rankstats import PairedSample, TwoArmSample, _stack
 from surrank.variance import _gaps, null_u_variance
 
 
@@ -17,7 +17,8 @@ def test_paired_kernel_differences_example():
     # response wins every unit, candidate wins units 2 and 4 -> d = 1,0,1,0
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    (kernel,) = _placements(*_stack(response, candidate)).counts
+    design, a, b = _stack(response, candidate)
+    (kernel,) = design.kernel(a, b).counts
     assert (kernel[0] - kernel[1]).tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
@@ -112,17 +113,17 @@ def test_variance_requires_two_per_arm():
 
 
 def test_null_variance_reference_values():
-    assert null_u_variance("paired", n=77, tie_fraction=0.0) == pytest.approx(1.0 / 308.0)
-    assert null_u_variance("paired", n=77, tie_fraction=0.5) == pytest.approx(0.5 / 308.0)
-    assert null_u_variance("unpaired", n1=25, n0=25) == pytest.approx(51.0 / 7500.0)
+    assert null_u_variance("paired", 77, 77, tie_fraction=0.0) == pytest.approx(1.0 / 308.0)
+    assert null_u_variance("paired", 77, 77, tie_fraction=0.5) == pytest.approx(0.5 / 308.0)
+    assert null_u_variance("unpaired", 25, 25) == pytest.approx(51.0 / 7500.0)
 
 
 def test_null_variance_validation():
     with pytest.raises(InvalidInputError):
-        null_u_variance("unpaired", n1=0, n0=10)
+        null_u_variance("unpaired", 0, 10)
     with pytest.raises(InvalidInputError):
-        null_u_variance("paired", n=0)
+        null_u_variance("paired", 0, 0)
     with pytest.raises(InvalidInputError):
-        null_u_variance("paired", n=10, tie_fraction=1.5)
-    with pytest.raises(InvalidInputError):
-        null_u_variance("crossover", n=10)
+        null_u_variance("paired", 10, 10, tie_fraction=1.5)
+    with pytest.raises(InvalidInputError, match="'crossover'"):
+        null_u_variance("crossover", 10, 10)
