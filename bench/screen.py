@@ -59,7 +59,7 @@ WIDTHS = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 128, 192, 256, 384, 512)
 HEIGHTS = (
     ("unpaired_100+100", "unpaired", 100, 100, 100, 50),
     ("unpaired_112+112", "unpaired", 112, 112, 10_000, 1),
-    ("paired_150", "paired", 150, 150, 3_000, 2),
+    ("paired_150", "paired", 150, 150, 3_000, 20),
 )
 DRIVER = {"scenario": "ten_pct_valid", "n1": 100, "n0": 100, "p_total": 100,
           "target_u_s": 0.9, "seed": 50090}

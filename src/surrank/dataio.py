@@ -496,18 +496,8 @@ def _by_evidence(report: ScreeningReport):
 
 def screening_rows(report: ScreeningReport):
     """Screening rows as dicts, candidates with the strongest evidence first."""
-    return [
-        {
-            "name": row.name,
-            "delta": row.delta,
-            "ci_lower": row.ci_lower,
-            "ci_upper": row.ci_upper,
-            "sigma": row.sigma,
-            "raw_p": row.raw_p,
-            "adjusted_p": row.adjusted_p,
-        }
-        for row in _by_evidence(report)
-    ]
+    return [dict(zip(SCREENING_FIELDS, (row.name, *_screening_values(row))))
+            for row in _by_evidence(report)]
 
 
 def write_screening_table(report: ScreeningReport, path: str,
@@ -543,25 +533,13 @@ def write_weights(combined: CombinedSurrogate, path: str,
 
 EVALUATION_FIELDS = ("marker", "u_response", "u_marker", "delta", "sigma", "epsilon",
                      "ci_lower", "ci_upper", "p_value", "reject")
+_evaluation_values = attrgetter("u_response", "u_candidate", *EVALUATION_FIELDS[3:])
 
 
 def evaluation_rows(results: list[tuple[str, SurrogateTestResult]]):
     """One row of evaluation metrics per tested marker."""
-    return [
-        {
-            "marker": label,
-            "u_response": res.u_response,
-            "u_marker": res.u_candidate,
-            "delta": res.delta,
-            "sigma": res.sigma,
-            "epsilon": res.epsilon,
-            "ci_lower": res.ci_lower,
-            "ci_upper": res.ci_upper,
-            "p_value": res.p_value,
-            "reject": res.reject,
-        }
-        for label, res in results
-    ]
+    return [dict(zip(EVALUATION_FIELDS, (label, *_evaluation_values(res))))
+            for label, res in results]
 
 
 def write_evaluation_summary(results: list[tuple[str, SurrogateTestResult]], path: str,

@@ -10,8 +10,9 @@ response effect and the study size so that the test retains a target
 power against a completely uninformative candidate.
 
 :func:`_assemble` is the one place the test is put together, for arrays of
-gaps that share a margin; :func:`surrogate_test` is the one-column case of
-the path ``screen`` takes (``_gaps``, ``_margin``, ``_assemble``).
+gaps and their margins; :func:`surrogate_test` is the one-column case of
+the path ``screen`` and the evaluation driver take (``_gaps``, ``_margin``,
+``_assemble``).
 """
 
 from __future__ import annotations
@@ -94,20 +95,17 @@ def select_epsilon(u_response: UEstimate, n_a: int, n_b: int, *, alpha: float = 
     that the one-sided test would still flag with probability ``power``,
     floored at zero.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ConfigurationError(f"alpha must be in (0, 0.5), got {alpha}")
-    if not 0.0 < power < 1.0:
-        raise ConfigurationError(f"power must be in (0, 1), got {power}")
-    var0 = null_u_variance(u_response.design, n_a, n_b, u_response.tie_fraction)
-    u_star = 0.5 + np.sqrt(var0) * (normal_quantile(power) + normal_quantile(1.0 - alpha))
-    return float(max(0.0, u_response.value - u_star))
+    return float(_margin(u_response.design, u_response.value, u_response.tie_fraction,
+                         n_a, n_b, TestConfig(alpha=alpha, power=power)))
 
 
-def _margin(u_response: UEstimate, n_a: int, n_b: int, config: TestConfig) -> float:
-    """The fixed margin, or the one derived from the response effect and block sizes."""
+def _margin(design: str, u_response, tie_fraction, n_a: int, n_b: int, config: TestConfig):
+    """The fixed margin, or :func:`select_epsilon`'s rule per response effect and tie fraction."""
     if config.epsilon is not None:
         return config.epsilon
-    return select_epsilon(u_response, n_a, n_b, alpha=config.alpha, power=config.power)
+    var0 = null_u_variance(design, n_a, n_b, tie_fraction)
+    z = normal_quantile(config.power) + normal_quantile(1.0 - config.alpha)
+    return np.maximum(0.0, u_response - (0.5 + np.sqrt(var0) * z))
 
 
 def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, boundary: float,
@@ -123,9 +121,9 @@ def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, boundary: float,
     return np.where(spread, normal_cdf(z if upper else -z), np.where(beyond, 0.0, 1.0))
 
 
-def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon: float, alpha: float,
+def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon, alpha: float,
               mode: Mode) -> dict:
-    """The test for arrays of gaps and standard errors sharing one margin.
+    """The test for arrays of gaps and standard errors, at one margin or one per gap.
 
     The confidence interval has level 1 - 2*alpha, matching the decision
     rule: the non-inferiority test rejects exactly when the upper limit
@@ -145,14 +143,15 @@ def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon: float, alpha: float
     }
 
 
-def _results(u_response: UEstimate, u_candidate: np.ndarray, sigma: np.ndarray,
-             epsilon: float, config: TestConfig) -> tuple[SurrogateTestResult, ...]:
+def _results(u_response, u_candidate: np.ndarray, sigma: np.ndarray, epsilon,
+             config: TestConfig) -> tuple[SurrogateTestResult, ...]:
     """One result per candidate, from :func:`_gaps` output and a shared margin."""
-    delta = u_response.value - u_candidate
+    delta = u_response - u_candidate
     test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
     p_lower = [None] * delta.size if test["p_lower"] is None else test["p_lower"].tolist()
+    u_response, epsilon = np.asarray(u_response).item(), np.asarray(epsilon).item()
     return tuple(
-        SurrogateTestResult(u_response.value, u, d, s, epsilon, config.alpha, config.mode,
+        SurrogateTestResult(u_response, u, d, s, epsilon, config.alpha, config.mode,
                             p, upper, lower, low, high, s == 0.0)
         for u, d, s, p, upper, lower, low, high in zip(
             u_candidate.tolist(), delta.tolist(), sigma.tolist(), test["p_value"].tolist(),
@@ -169,6 +168,6 @@ def surrogate_test(response, candidate, config: TestConfig = TestConfig()) -> Su
     derived from the response effect at the configured power.
     """
     design, a, b = _stack(response, candidate)
-    u_y, u_candidate, sigma = _gaps(design, a, b)
-    epsilon = _margin(u_y, a.shape[0], b.shape[0], config)
+    (u_y,), (tie_y,), u_candidate, sigma = _gaps(design, a, b)
+    epsilon = _margin(design.name, u_y, tie_y, a.shape[0], b.shape[0], config)
     return _results(u_y, u_candidate, sigma, epsilon, config)[0]

@@ -20,10 +20,9 @@ from .errors import (
     NoSurrogatesSelectedError,
     SurrankError,
 )
-from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results, \
-    surrogate_test
+from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results
 from .multitest import Method, adjust
-from .rankstats import Design, PairedSample, TwoArmSample, _as_finite_vector, _Design
+from .rankstats import Design, PairedSample, TwoArmSample, _as_finite_vector, _Design, _stack
 from .variance import _gaps
 
 # Bytes of the kernel's largest float64 temporary allowed per kernel call in
@@ -311,9 +310,9 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     Candidates with no spread in either block are uninformative and are
     reported with p = 1 and the degenerate flag instead of a test.
     """
-    u_y, u_candidate, sigma, flat = _screen_gaps(data._design, data.response_a, data.response_b,
-                                                 data.candidates_a, data.candidates_b)
-    epsilon = _margin(u_y, data.n_a, data.n_b, config)
+    u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(
+        data._design, data.response_a, data.response_b, data.candidates_a, data.candidates_b)
+    epsilon = _margin(data.design, u_y, tie_y, data.n_a, data.n_b, config)
     delta, test, raw, adjusted = _screen_tests(u_y, u_candidate, sigma, flat, epsilon, config,
                                                method)
     rows = tuple(
@@ -332,7 +331,7 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
         alpha=config.alpha,
         mode=config.mode,
         design=data.design,
-        u_response=u_y.value,
+        u_response=float(u_y),
         n_a=data.n_a,
         n_b=data.n_b,
     )
@@ -340,7 +339,7 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
 
 def _screen_gaps(design: _Design, response_a: np.ndarray, response_b: np.ndarray,
                  candidates_a: np.ndarray, candidates_b: np.ndarray):
-    """U_y, each candidate's U, the standard error of its gap and its flat flag.
+    """U_y, its tie fraction, each candidate's U, the standard error of its gap and its flat flag.
 
     Runs :func:`_gaps` over blocks of candidate columns sized to
     ``_BLOCK_BYTES``, each block led by the response column.  No column's
@@ -354,8 +353,9 @@ def _screen_gaps(design: _Design, response_a: np.ndarray, response_b: np.ndarray
                     np.column_stack([response_b, candidates_b[:, start:start + width]]))
               for start in range(0, candidates_a.shape[1], width)]
     flat = (np.ptp(candidates_a, axis=0) == 0.0) & (np.ptp(candidates_b, axis=0) == 0.0)
-    return (blocks[0][0], np.concatenate([u for _, u, _ in blocks]),
-            np.concatenate([sd for _, _, sd in blocks]), flat)
+    (u_y,), (tie_y,) = blocks[0][:2]
+    return (u_y, tie_y, np.concatenate([u for _, _, u, _ in blocks]),
+            np.concatenate([sd for *_, sd in blocks]), flat)
 
 
 def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndarray,
@@ -365,7 +365,7 @@ def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndar
     Flat candidates are uninformative and get raw p = 1.  ``method=None``
     leaves the adjusted p equal to the raw p.
     """
-    delta = u_y.value - u_candidate
+    delta = u_y - u_candidate
     test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
     raw = np.where(flat, 1.0, test["p_value"])
     adjusted = adjust(raw, method).adjusted if method is not None else raw
@@ -449,17 +449,20 @@ def evaluate(data: Dataset, gamma, config: TestConfig = TestConfig()) -> Surroga
     With ``config.epsilon=None`` the margin is re-derived from this
     split's own response effect and size.
     """
-    return surrogate_test(data.response_sample(), gamma, config)
+    return _evaluation(data, gamma, (), config)[0]
 
 
 def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
-    """The combined marker's test, then its first members' at its margin in one kernel pass."""
-    evaluation = evaluate(data, gamma, config)
+    """The combined marker's test, then its first members' at its margin, in one kernel pass."""
     members = selected[:_TOP_MARKERS]
     cols = [data._column(name) for name in members]
-    u_y, u, sigma, _ = _screen_gaps(data._design, data.response_a, data.response_b,
-                                    data.candidates_a[:, cols], data.candidates_b[:, cols])
-    return evaluation, tuple(zip(members, _results(u_y, u, sigma, evaluation.epsilon, config)))
+    design, a, b = _stack(data.response_sample(), gamma)
+    u_y, tie_y, u, sigma, _ = _screen_gaps(design, a[:, 0], b[:, 0],
+                                           np.column_stack([a[:, 1], data.candidates_a[:, cols]]),
+                                           np.column_stack([b[:, 1], data.candidates_b[:, cols]]))
+    epsilon = _margin(design.name, u_y, tie_y, data.n_a, data.n_b, config)
+    evaluation, *tests = _results(u_y, u, sigma, epsilon, config)
+    return evaluation, tuple(zip(members, tests))
 
 
 def run_pipeline(data: Dataset, ratio: float = 0.75, seed: int = 0,

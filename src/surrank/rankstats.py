@@ -22,6 +22,7 @@ object, and only :meth:`_Design.named` checks a design name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Literal
 
 import numpy as np
@@ -115,7 +116,6 @@ class _Placements:
     count and ``ties`` the tied comparisons per row.
     """
 
-    design: Design
     counts: tuple[np.ndarray, ...]
     partners: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -130,18 +130,12 @@ class _Placements:
         """U estimate of each row: the kernel total over the comparison count."""
         return self.counts[0].sum(axis=1) / self.comparisons
 
-    def estimate(self, row: int) -> UEstimate:
-        comparisons = self.comparisons
-        return UEstimate(float(self.counts[0][row].sum() / comparisons), self.design,
-                         float(self.ties[row] / comparisons))
-
 
 def _paired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
     """The paired kernel: each unit's own (post, pre) comparison, row for row."""
     post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     ties = post == pre
-    return _Placements("paired", ((post > pre) + 0.5 * ties,), (1,), (post.shape[1],),
-                       ties.sum(axis=1))
+    return _Placements(((post > pre) + 0.5 * ties,), (1,), (post.shape[1],), ties.sum(axis=1))
 
 
 def _unpaired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
@@ -181,7 +175,7 @@ def _unpaired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
     control += n_a * (rows + 1)
     tied = (a_at[1:] - a_at[:-1]) * (b_at[1:] - b_at[:-1])
     ties = np.add.reduceat(tied, run[::n] - 1)
-    return _Placements("unpaired", (treated, control), (n_b, n_a), (n_a, n_b), ties)
+    return _Placements((treated, control), (n_b, n_a), (n_a, n_b), ties)
 
 
 @dataclass(frozen=True)
@@ -189,13 +183,15 @@ class _Design:
     """What depends on the study design: one instance per design, in ``_DESIGNS``.
 
     ``shared_units`` says whether blocks a and b list the same units row for
-    row (post and pre) rather than two arms.  ``kernel`` takes an ``(n_a, k)``
-    and an ``(n_b, k)`` block.  ``groups`` holds the default group column and
-    the labels of blocks a and b in input files.
+    row (post and pre) rather than two arms.  ``blocks`` reads a sample's
+    blocks a and b.  ``kernel`` takes an ``(n_a, k)`` and an ``(n_b, k)``
+    block.  ``groups`` holds the default group column and the labels of
+    blocks a and b in input files.
     """
 
     name: str
     sample: type
+    blocks: Callable[[object], tuple[np.ndarray, np.ndarray]]
     shared_units: bool
     kernel: Callable[[np.ndarray, np.ndarray], _Placements]
     null_variance: Callable[[int, int, float], float]  # of one U, given the tie fraction
@@ -221,11 +217,12 @@ class _Design:
 
 _DESIGNS = {design.name: design for design in (
     # the continuous-data Mann-Whitney null variance; U grid k / (2 n_a n_b)
-    _Design("unpaired", TwoArmSample, False, _unpaired_placements,
+    _Design("unpaired", TwoArmSample, attrgetter("treated", "control"), False,
+            _unpaired_placements,
             lambda n_a, n_b, tie_fraction: (n_a + n_b + 1) / (12.0 * n_a * n_b),
             lambda n_a, n_b: 1.0 / (2.0 * n_a * n_b), ("arm", "treated", "control")),
     # a Bernoulli win indicator deflated by the observed tie mass; U grid k / (2 n_a)
-    _Design("paired", PairedSample, True, _paired_placements,
+    _Design("paired", PairedSample, attrgetter("post", "pre"), True, _paired_placements,
             lambda n_a, n_b, tie_fraction: (1.0 - tie_fraction) / (4.0 * n_a),
             lambda n_a, n_b: 1.0 / (4.0 * n_a), ("timepoint", "post", "pre")),
 )}
@@ -235,22 +232,22 @@ def _unpack(sample) -> tuple[_Design, np.ndarray, np.ndarray]:
     """A sample's design, found from its type, and its blocks a and b."""
     for design in _DESIGNS.values():
         if isinstance(sample, design.sample):
-            return (design, *[getattr(sample, name) for name in sample.__dataclass_fields__])
+            return (design, *design.blocks(sample))
     raise AlignmentError(f"{type(sample).__name__} is not the sample type of any design")
 
 
 def _stack(response, candidate) -> tuple[_Design, np.ndarray, np.ndarray]:
     """A response and a candidate sample as the two columns of the design's blocks."""
-    design, *y = _unpack(response)
-    other, *s = _unpack(candidate)
+    design, y_a, y_b = _unpack(response)
+    other, s_a, s_b = _unpack(candidate)
     if other is not design:
         raise AlignmentError("response and candidate must both be unpaired or both paired")
-    y_sizes, s_sizes = tuple(v.size for v in y), tuple(v.size for v in s)
+    y_sizes, s_sizes = (y_a.size, y_b.size), (s_a.size, s_b.size)
     if y_sizes != s_sizes:
         raise AlignmentError(
             f"response and candidate cover different units: sizes {y_sizes} vs {s_sizes}"
         )
-    return design, np.array([y[0], s[0]]).T, np.array([y[1], s[1]]).T
+    return design, np.array([y_a, s_a]).T, np.array([y_b, s_b]).T
 
 
 def u_statistic(sample) -> UEstimate:
@@ -261,7 +258,9 @@ def u_statistic(sample) -> UEstimate:
     (post, pre) pairs of a :class:`PairedSample` (grid k / (2 * n)).
     """
     design, a, b = _unpack(sample)
-    return design.kernel(a[:, None], b[:, None]).estimate(0)
+    placements = design.kernel(a[:, None], b[:, None])
+    return UEstimate(float(placements.u[0]), design.name,
+                     float(placements.ties[0] / placements.comparisons))
 
 
 def normal_cdf(z) -> float | np.ndarray:

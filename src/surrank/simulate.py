@@ -6,22 +6,27 @@ Phi(3/sqrt(2)) on the probability scale.  Valid candidates are the
 response (or its cube) plus calibrated noise; invalid candidates are
 treatment-free noise.  The experiment drivers replay the screening and
 evaluation procedures over many seeded replicates and summarize error
-rates against the known labels.
+rates against the known labels.  The evaluation driver tests its
+(replicate, rho) cells in blocks, a response and a combined-marker column
+per cell, with one screening-core call per block.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .inference import TestConfig, _margin, surrogate_test
+from .inference import TestConfig, _assemble, _margin
 from .multitest import Method
-from .pipeline import Dataset, _screen_gaps, _screen_tests, weighted_standardized_sum
-from .rankstats import _DESIGNS, TwoArmSample, normal_cdf, normal_quantile
+from .pipeline import _BLOCK_BYTES, Dataset, _screen_gaps, _screen_tests, \
+    weighted_standardized_sum
+from .rankstats import _DESIGNS, normal_cdf, normal_quantile
+from .variance import _gaps
 
 Dgp = Literal["normal", "complex"]
 Scenario = Literal["none_valid", "ten_pct_valid"]
@@ -334,9 +339,9 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     for i, stream in enumerate(streams):
         drawn = _draw(np.random.default_rng(stream), cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid,
                       cfg.p_valid, sigma_valid, cfg.sigma_corr)
-        u_y, u_candidate, sigma, flat = _screen_gaps(_DESIGNS["unpaired"], *drawn)
-        epsilon = (max(0.0, u_y.value - 0.5) if boundary_epsilon
-                   else _margin(u_y, cfg.n1, cfg.n0, test_config))
+        u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(_DESIGNS["unpaired"], *drawn)
+        epsilon = (max(0.0, u_y - 0.5) if boundary_epsilon
+                   else _margin("unpaired", u_y, tie_y, cfg.n1, cfg.n0, test_config))
         _, _, raw[i], adjusted[i] = _screen_tests(u_y, u_candidate, sigma, flat, epsilon,
                                                   test_config, method)
     valid = np.arange(cfg.p_total) >= cfg.p_invalid
@@ -352,6 +357,8 @@ class EvaluationExperiment:
     pvalues: np.ndarray  # shape (len(rho_grid), n_sim)
 
     def rejection_fraction(self, alpha: float = 0.05) -> np.ndarray:
+        if not 0.0 < alpha < 0.5:
+            raise ConfigurationError(f"alpha must be in (0, 0.5), got {alpha}")
         return (self.pvalues < alpha).mean(axis=1)
 
 
@@ -365,8 +372,8 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
     Each replicate draws ``n`` subjects per arm, builds a combination of
     ceil(rho * set_size) invalid members and the rest valid members at
     ``valid_strength``, all standardized on the same data and equally
-    weighted, and records the p-value of the combined-marker test with
-    the margin derived at the given power.
+    weighted, and records the p-value ``surrogate_test`` gives the
+    combined marker with the margin derived at the given power.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
     if n < 2:
@@ -375,26 +382,39 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
         raise ConfigurationError(f"sigma_corr must be >= 0, got {sigma_corr}")
     if set_size < 1:
         raise ConfigurationError(f"set_size must be >= 1, got {set_size}")
-    if any(not 0.0 <= rho <= 1.0 for rho in rho_grid):
-        raise ConfigurationError(f"rho_grid values must lie in [0, 1], got {rho_grid}")
+    if not rho_grid or any(not 0.0 <= rho <= 1.0 for rho in rho_grid):
+        raise ConfigurationError(f"rho_grid needs one or more values in [0, 1], got {rho_grid}")
     if n_sim < 1:
         raise ConfigurationError(f"n_sim must be >= 1, got {n_sim}")
     sigma_valid = calibrate_sigma_valid(dgp, valid_strength)
     config = TestConfig(alpha=alpha, power=power)
 
-    streams = np.random.SeedSequence(seed).spawn(n_sim)
+    def cells():
+        # replicate i draws its cells from the i-th stream of SeedSequence(seed).spawn(n_sim),
+        # spawned one at a time so that none outlives its replicate
+        root = np.random.SeedSequence(seed)
+        for _ in range(n_sim):
+            rng = np.random.default_rng(root.spawn(1)[0])
+            for rho in rho_grid:
+                k_invalid = int(np.ceil(rho * set_size))
+                y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
+                                                         set_size - k_invalid, sigma_valid,
+                                                         sigma_corr)
+                gamma1, gamma0, _, _, _ = weighted_standardized_sum(candidates1, candidates0,
+                                                                    np.ones(set_size))
+                yield y1, y0, gamma1, gamma0
+
+    design, drawn = _DESIGNS["unpaired"], cells()
+    width = max(1, _BLOCK_BYTES // (2 * design.column_bytes(n, n)))
+    # a block of m cells holds cell j's response in row j and its combined marker in row m + j
+    a, b = np.empty((2 * width, n)), np.empty((2 * width, n))
     pvalues = np.empty((len(rho_grid), n_sim))
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        for g, rho in enumerate(rho_grid):
-            k_invalid = int(np.ceil(rho * set_size))
-            y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
-                                                     set_size - k_invalid, sigma_valid,
-                                                     sigma_corr)
-            gamma1, gamma0, _, _, _ = weighted_standardized_sum(
-                candidates1, candidates0, np.ones(set_size)
-            )
-            response = TwoArmSample(treated=y1, control=y0)
-            gamma = TwoArmSample(treated=gamma1, control=gamma0)
-            pvalues[g, i] = surrogate_test(response, gamma, config).p_value
+    for start in range(0, pvalues.size, width):
+        m = min(width, pvalues.size - start)
+        for j, (y1, y0, gamma1, gamma0) in enumerate(itertools.islice(drawn, m)):
+            a[j], b[j], a[m + j], b[m + j] = y1, y0, gamma1, gamma0
+        u_y, tie_y, u, sigma = _gaps(design, a[:2 * m].T, b[:2 * m].T, m)
+        epsilon = _margin(design.name, u_y, tie_y, n, n, config)
+        test = _assemble(u_y - u, sigma, epsilon, config.alpha, config.mode)
+        pvalues.T.flat[start:start + m] = test["p_value"]  # cell order: replicate, then rho
     return EvaluationExperiment(rho_grid=rho_grid, pvalues=pvalues)

@@ -141,7 +141,7 @@ def test_surrogate_test_matches_manual_assembly():
     res = surrogate_test(response, candidate, TestConfig(epsilon=0.15))
     u_y = u_statistic(response).value
     u_s = u_statistic(candidate).value
-    _, _, sigma = _gaps(*_stack(response, candidate))
+    *_, sigma = _gaps(*_stack(response, candidate))
     manual = assemble(u_y - u_s, float(sigma[0]), epsilon=0.15)
     assert (res.u_response, res.u_candidate, res.delta, res.sigma, res.epsilon) == (
         u_y, u_s, u_y - u_s, sigma[0], 0.15)

@@ -1,5 +1,6 @@
 """Tests for synthetic data generation and experiment drivers."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,12 +9,13 @@ import pytest
 
 from surrank import pipeline
 from surrank.errors import ConfigurationError
-from surrank.inference import TestConfig
-from surrank.pipeline import screen
-from surrank.rankstats import u_statistic
+from surrank.inference import TestConfig, surrogate_test
+from surrank.pipeline import screen, weighted_standardized_sum
+from surrank.rankstats import _DESIGNS, TwoArmSample, u_statistic
 from surrank.simulate import (
     DgpConfig,
     _confusion,
+    _draw,
     calibrate_sigma_valid,
     estimate_valid_strength,
     generate,
@@ -215,6 +217,8 @@ def test_evaluation_experiment_validation():
         run_evaluation_experiment(rho_grid=(0.0, 1.5), n_sim=5)
     with pytest.raises(ConfigurationError):
         run_evaluation_experiment(n_sim=0)
+    with pytest.raises(ConfigurationError, match="rho_grid needs one or more values"):
+        run_evaluation_experiment(rho_grid=(), n_sim=5)
     # the same settings DgpConfig rejects, before any data is drawn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -223,6 +227,92 @@ def test_evaluation_experiment_validation():
         for n in (0, 1):
             with pytest.raises(ConfigurationError, match="need at least 2 per arm"):
                 run_evaluation_experiment(n=n, n_sim=5)
+
+
+def test_rejection_fraction_takes_a_test_level():
+    experiment = run_evaluation_experiment(n=10, set_size=2, rho_grid=(0.0, 1.0), n_sim=4)
+    assert experiment.rejection_fraction(0.05).shape == (2,)
+    for alpha in (0.0, 0.5, 0.7, 1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ConfigurationError, match="alpha must be in"):
+            experiment.rejection_fraction(alpha)
+
+
+def per_cell_pvalues(n=50, valid_strength=0.9, set_size=20, rho_grid=(0.0, 0.5, 1.0),
+                     n_sim=10, dgp="normal", sigma_corr=0.0, alpha=0.05, power=0.80, seed=0):
+    """Per-cell reference p-values for the evaluation driver, and the degenerate cells.
+
+    Each (replicate, rho) cell draws its data with ``_draw``, combines the
+    members with ``weighted_standardized_sum`` and runs ``surrogate_test``.
+    """
+    sigma_valid = calibrate_sigma_valid(dgp, valid_strength)
+    config = TestConfig(alpha=alpha, power=power)
+    pvalues = np.empty((len(rho_grid), n_sim))
+    degenerate = np.empty((len(rho_grid), n_sim), dtype=bool)
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
+        rng = np.random.default_rng(stream)
+        for g, rho in enumerate(rho_grid):
+            k_invalid = int(np.ceil(rho * set_size))
+            y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
+                                                     set_size - k_invalid, sigma_valid,
+                                                     sigma_corr)
+            gamma1, gamma0, _, _, _ = weighted_standardized_sum(candidates1, candidates0,
+                                                                np.ones(set_size))
+            result = surrogate_test(TwoArmSample(treated=y1, control=y0),
+                                    TwoArmSample(treated=gamma1, control=gamma0), config)
+            pvalues[g, i], degenerate[g, i] = result.p_value, result.degenerate
+    return pvalues, degenerate
+
+
+def cells_per_block(n: int) -> int:
+    return pipeline._BLOCK_BYTES // (2 * _DESIGNS["unpaired"].column_bytes(n, n))
+
+
+EVALUATION_CASES = {
+    "normal": {"n": 30, "set_size": 8},
+    "complex": {"n": 30, "set_size": 8, "dgp": "complex", "seed": 3},
+    "correlated, normal": {"n": 40, "set_size": 10, "sigma_corr": 0.3, "seed": 4},
+    "correlated, complex": {"n": 40, "set_size": 10, "sigma_corr": 0.3, "dgp": "complex",
+                            "seed": 5},
+    "power 0.6": {"n": 25, "set_size": 6, "power": 0.6, "seed": 8},
+    "power 0.95, alpha 0.01": {"n": 25, "set_size": 6, "power": 0.95, "alpha": 0.01,
+                               "seed": 9},
+    "two per arm": {"n": 2, "set_size": 5, "n_sim": 40, "seed": 6},
+    # 40 cells per block at n = 50: the first boundary falls inside replicate 13
+    "block boundary inside a replicate": {"n": 50, "n_sim": 30, "seed": 7},
+    "noiseless valid members": {"n": 30, "set_size": 5, "valid_strength": 1.0, "seed": 10},
+}
+
+
+@pytest.mark.parametrize("case", EVALUATION_CASES)
+def test_evaluation_driver_equals_surrogate_test_of_each_cell(case):
+    settings = {"rho_grid": (0.0, 0.5, 1.0), "n_sim": 10, **EVALUATION_CASES[case]}
+    expected, degenerate = per_cell_pvalues(**settings)
+    assert run_evaluation_experiment(**settings).pvalues.tobytes() == expected.tobytes()
+    if case == "block boundary inside a replicate":
+        width = cells_per_block(settings["n"])
+        assert expected.size > width and width % len(settings["rho_grid"]) != 0
+    if case == "noiseless valid members":
+        # gamma ranks the subjects as the response does at rho = 0, so the gap's
+        # sigma is 0 and the test takes its degenerate branch
+        assert degenerate[0].all()
+
+
+def test_evaluation_driver_memory_does_not_grow_with_replicates_beyond_its_pvalues():
+    def peak(n_sim):
+        tracemalloc.start()
+        try:
+            experiment = run_evaluation_experiment(n=20, set_size=2, rho_grid=(0.0,),
+                                                   n_sim=n_sim)
+            return tracemalloc.get_traced_memory()[1], experiment.pvalues.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up: the calibration cache and first-call allocations
+    small, _ = peak(200)
+    large, pvalues_bytes = peak(2_000)
+    # both runs fill at least one block of 102 cells; the slack covers the objects
+    # that wait for the cyclic collector between replicates, about 10 KB
+    assert large - small <= pvalues_bytes + 32 * 1024
 
 
 # (config, test config, method, boundary margin): every case spans more than one kernel block

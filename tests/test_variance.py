@@ -1,15 +1,17 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from surrank.errors import AlignmentError, InsufficientDataError, InvalidInputError
 from surrank.inference import surrogate_test
-from surrank.rankstats import PairedSample, TwoArmSample, _stack
+from surrank.rankstats import _DESIGNS, PairedSample, TwoArmSample, _stack, u_statistic
 from surrank.variance import _gaps, null_u_variance
 
 
 def gap_sd(response, candidate) -> float:
     """The screening core's standard error of U_response - U_candidate."""
-    _, _, sigma = _gaps(*_stack(response, candidate))
+    *_, sigma = _gaps(*_stack(response, candidate))
     return float(sigma[0])
 
 
@@ -26,10 +28,10 @@ def test_paired_variance_example():
     # var(d, ddof=1) = 1/3 over n=4 units -> variance 1/12
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    u_y, _, sigma = _gaps(*_stack(response, candidate))
+    u_y, tie_y, _, sigma = _gaps(*_stack(response, candidate))
     assert sigma[0] ** 2 == pytest.approx(1.0 / 12.0, rel=1e-15)
     assert sigma[0] == pytest.approx(np.sqrt(1.0 / 12.0), rel=1e-15)
-    assert u_y.design == "paired"
+    assert (u_y.tolist(), tie_y.tolist()) == ([1.0], [0.0])
     assert not surrogate_test(response, candidate).degenerate
 
 
@@ -116,6 +118,40 @@ def test_null_variance_reference_values():
     assert null_u_variance("paired", 77, 77, tie_fraction=0.0) == pytest.approx(1.0 / 308.0)
     assert null_u_variance("paired", 77, 77, tie_fraction=0.5) == pytest.approx(0.5 / 308.0)
     assert null_u_variance("unpaired", 25, 25) == pytest.approx(51.0 / 7500.0)
+
+
+@given(design=st.sampled_from(sorted(_DESIGNS)), r=st.integers(1, 6),
+       n_a=st.integers(2, 12), n_b=st.integers(2, 12), levels=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_gaps_with_r_response_columns_equal_r_one_response_calls(design, r, n_a, n_b,
+                                                                 levels, seed):
+    # few levels, so ties and zero-spread columns occur
+    spec = _DESIGNS[design]
+    n_b = n_a if spec.shared_units else n_b
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, levels, (n_a, 2 * r)).astype(float)
+    b = rng.integers(0, levels, (n_b, 2 * r)).astype(float)
+    u_y, tie_y, u, sigma = _gaps(spec, a, b, r)
+    for j in range(r):
+        one = _gaps(spec, a[:, [j, r + j]], b[:, [j, r + j]])
+        assert [x.tobytes() for x in one] == [x[j:j + 1].tobytes() for x in (u_y, tie_y, u, sigma)]
+        response = u_statistic(spec.sample(a[:, j], b[:, j]))
+        assert (response.value, response.tie_fraction) == (u_y[j], tie_y[j])
+    # one response column, as screen lays out its blocks: every candidate against column 0
+    u_y, tie_y, u, sigma = _gaps(spec, a, b)
+    for j in range(1, 2 * r):
+        one = _gaps(spec, a[:, [0, j]], b[:, [0, j]])
+        assert [x.tobytes() for x in one] == [
+            x.tobytes() for x in (u_y, tie_y, u[j - 1:j], sigma[j - 1:j])]
+
+
+def test_null_variance_takes_arrays_of_tie_fractions():
+    ties = np.array([0.0, 0.25, 0.5])
+    for design in ("paired", "unpaired"):
+        expected = [null_u_variance(design, 77, 77, tie) for tie in ties.tolist()]
+        assert np.broadcast_to(null_u_variance(design, 77, 77, ties), 3).tolist() == expected
+    with pytest.raises(InvalidInputError):
+        null_u_variance("paired", 10, 10, tie_fraction=np.array([0.5, 1.5]))
 
 
 def test_null_variance_validation():
