@@ -2,19 +2,22 @@
 
     PYTHONPATH=src python3 bench/evaluation.py [--out bench/BENCH_evaluation.json]
 
-Two settings, both with n = 50 per arm, a combination of 20 members at
+Three settings, all with n = 50 per arm, a combination of 20 members at
 valid strength 0.9, the rho grid (0, 0.2, 0.6, 1) and power 0.8:
 
 - ``perfbench_simulate``: 50 replicates, one evaluation operation of the
-  perfbench ``simulate`` workload (seed 0);
-- ``criterion_6``: 200 replicates at seed 60006, acceptance criterion 6.
+  perfbench ``simulate`` workload (normal process, seed 0);
+- ``criterion_6``: 200 replicates at seed 60006, acceptance criterion 6;
+- ``complex_correlated``: 50 replicates of the cubed process with
+  ``sigma_corr`` 0.3 (seed 0), the correlated draws.
 
 Before timing, each setting's p-values are checked bit for bit against a
 per-cell oracle: for every (replicate, rho) cell, ``simulate._draw``, then
 ``pipeline.weighted_standardized_sum``, then ``inference.surrogate_test``,
-in the driver's stream order.  The oracle calls nothing that the blocked
-driver changed, so the same script times older trees, whose driver is
-that loop.
+in the driver's stream order.  The oracle calls ``_draw`` and
+``weighted_standardized_sum`` with the arguments every tree since the
+per-cell driver takes, so the same script times older trees, whose
+driver is that loop.
 
 Each timing is the median of ``REPEATS`` batches of calls.  Like the
 perfbench workloads, the script fixes glibc's mmap threshold at 128 KiB.
@@ -44,25 +47,28 @@ from surrank.simulate import _draw, calibrate_sigma_valid, run_evaluation_experi
 
 REPEATS = 7
 COMMON = {"n": 50, "valid_strength": 0.9, "set_size": 20, "rho_grid": (0.0, 0.2, 0.6, 1.0),
-          "power": 0.8}
-# name, replicates, seed, calls per timed batch (each batch takes a few tenths of a second)
+          "power": 0.8, "dgp": "normal", "sigma_corr": 0.0}
+# name, settings beyond COMMON, calls per timed batch (each batch takes a few tenths of a second)
 SETTINGS = (
-    ("perfbench_simulate", 50, 0, 10),
-    ("criterion_6", 200, 60006, 3),
+    ("perfbench_simulate", {"n_sim": 50, "seed": 0}, 10),
+    ("criterion_6", {"n_sim": 200, "seed": 60006}, 3),
+    ("complex_correlated", {"n_sim": 50, "seed": 0, "dgp": "complex", "sigma_corr": 0.3}, 10),
 )
 
 
-def oracle(n, valid_strength, set_size, rho_grid, power, n_sim, seed) -> np.ndarray:
+def oracle(n, valid_strength, set_size, rho_grid, power, dgp, sigma_corr, n_sim,
+           seed) -> np.ndarray:
     """Each cell's p-value from its own ``surrogate_test``, in the driver's stream order."""
-    sigma_valid = calibrate_sigma_valid("normal", valid_strength)
+    sigma_valid = calibrate_sigma_valid(dgp, valid_strength)
     config = TestConfig(power=power)
     pvalues = np.empty((len(rho_grid), n_sim))
     for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_sim)):
         rng = np.random.default_rng(stream)
         for g, rho in enumerate(rho_grid):
             k_invalid = int(np.ceil(rho * set_size))
-            y1, y0, candidates1, candidates0 = _draw(rng, "normal", n, n, k_invalid,
-                                                     set_size - k_invalid, sigma_valid, 0.0)
+            y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
+                                                     set_size - k_invalid, sigma_valid,
+                                                     sigma_corr)
             gamma1, gamma0, _, _, _ = weighted_standardized_sum(candidates1, candidates0,
                                                                 np.ones(set_size))
             pvalues[g, i] = surrogate_test(TwoArmSample(y1, y0), TwoArmSample(gamma1, gamma0),
@@ -70,8 +76,8 @@ def oracle(n, valid_strength, set_size, rho_grid, power, n_sim, seed) -> np.ndar
     return pvalues
 
 
-def time_setting(name: str, n_sim: int, seed: int, calls: int) -> dict:
-    settings = {**COMMON, "n_sim": n_sim, "seed": seed}
+def time_setting(name: str, extra: dict, calls: int) -> dict:
+    settings = {**COMMON, **extra}
 
     def run():
         return run_evaluation_experiment(**settings)
@@ -85,7 +91,7 @@ def time_setting(name: str, n_sim: int, seed: int, calls: int) -> dict:
         for _ in range(calls):
             run()
         times.append((perf_counter() - start) / calls)
-    cells = n_sim * len(COMMON["rho_grid"])
+    cells = settings["n_sim"] * len(COMMON["rho_grid"])
     return {"name": name, **settings, "rho_grid": list(COMMON["rho_grid"]), "cells": cells,
             "calls_per_batch": calls, "driver_s": median(times), "driver_s_all": times,
             "us_per_cell": median(times) / cells * 1e6}

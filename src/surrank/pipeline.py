@@ -382,18 +382,40 @@ def weighted_standardized_sum(values_a: np.ndarray, values_b: np.ndarray, weight
 
     Columns whose pooled sample sd is zero contribute nothing; the returned
     mask marks them.  Standardization uses the mean and ddof=1 sd over the
-    rows of both blocks together.
+    rows of both blocks together.  The blocks may also be stacks of blocks,
+    ``(cells, rows, p)``, each cell standardized and summed on its own.
     """
-    weights = np.asarray(weights, dtype=float)
-    pooled = np.vstack([values_a, values_b])
-    means = pooled.mean(axis=0)
-    sds = pooled.std(axis=0, ddof=1)
+    n_a = np.shape(values_a)[-2]
+    pooled = np.concatenate([values_a, values_b], axis=-2, dtype=float)
+    gamma = np.empty(pooled.shape[:-1])
+    means, sds, degenerate = _standardized_sum(pooled, n_a, weights, gamma)
+    return gamma[..., :n_a], gamma[..., n_a:], means, sds, degenerate
+
+
+def _standardized_sum(pooled: np.ndarray, n_a: int, weights, out: np.ndarray):
+    """:func:`weighted_standardized_sum` of pooled blocks, standardized in place.
+
+    Each ``(rows, p)`` block of ``pooled`` holds block a in its first
+    ``n_a`` rows and block b in the rest, and ``out`` gets one sum per row.
+    The moments take the operations of ``mean`` and ``std(ddof=1)`` over
+    the rows, the deviations serving both, and each arm's sums are one
+    matrix-vector product, so every block's results are those of a block
+    standardized alone.  Returns the means, sds and zero-spread mask of
+    each block.
+    """
+    rows = pooled.shape[-2]
+    means = np.add.reduce(pooled, axis=-2)
+    means /= rows
+    deviations = np.subtract(pooled, means[..., None, :], out=pooled)
+    sds = np.add.reduce(np.square(deviations), axis=-2)
+    sds /= rows - 1
+    np.sqrt(sds, out=sds)
     degenerate = sds == 0.0
-    scale = np.where(degenerate, 1.0, sds)
-    effective = np.where(degenerate, 0.0, weights)
-    gamma_a = ((values_a - means) / scale) @ effective
-    gamma_b = ((values_b - means) / scale) @ effective
-    return gamma_a, gamma_b, means, sds, degenerate
+    effective = np.where(degenerate, 0.0, np.asarray(weights, dtype=float))[..., None]
+    deviations /= np.where(degenerate, 1.0, sds)[..., None, :]
+    np.matmul(deviations[..., :n_a, :], effective, out=out[..., :n_a, None])
+    np.matmul(deviations[..., n_a:, :], effective, out=out[..., n_a:, None])
+    return means, sds, degenerate
 
 
 def _combined_marker(data: Dataset, names, weights):

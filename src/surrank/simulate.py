@@ -8,13 +8,14 @@ treatment-free noise.  The experiment drivers replay the screening and
 evaluation procedures over many seeded replicates and summarize error
 rates against the known labels.  The evaluation driver tests its
 (replicate, rho) cells in blocks, a response and a combined-marker column
-per cell, with one screening-core call per block.
+per cell, with one screening-core call per block.  Every driver draws
+through one function, which writes a replicate's arrays into buffers its
+caller can reuse.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -23,8 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .inference import TestConfig, _assemble, _margin
 from .multitest import Method
-from .pipeline import _BLOCK_BYTES, Dataset, _screen_gaps, _screen_tests, \
-    weighted_standardized_sum
+from .pipeline import _BLOCK_BYTES, Dataset, _screen_gaps, _screen_tests, _standardized_sum
 from .rankstats import _DESIGNS, normal_cdf, normal_quantile
 from .variance import _gaps
 
@@ -38,6 +38,16 @@ RESPONSE_SD = 1.0
 _INVALID_MEAN_RANGE = (0.5, 2.5)
 _INVALID_VARIANCE_RANGE = (0.5, 2.0)
 _INVALID_RATE_RANGE = (0.5, 2.5)
+
+
+def _check_dgp(dgp) -> None:
+    if dgp not in ("normal", "complex"):
+        raise ConfigurationError(f"dgp must be 'normal' or 'complex', got {dgp!r}")
+
+
+def _check_draws(n_draws: int) -> None:
+    if n_draws < 1:
+        raise ConfigurationError(f"n_draws must be >= 1, got {n_draws}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,7 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dgp not in ("normal", "complex"):
-            raise ConfigurationError(f"dgp must be 'normal' or 'complex', got {self.dgp!r}")
+        _check_dgp(self.dgp)
         if self.scenario not in ("none_valid", "ten_pct_valid"):
             raise ConfigurationError(
                 f"scenario must be 'none_valid' or 'ten_pct_valid', got {self.scenario!r}"
@@ -141,6 +150,8 @@ def response_effect() -> float:
 def estimate_valid_strength(dgp: Dgp, sigma_valid: float, n_draws: int = 1_000_000,
                             seed: int = 0) -> float:
     """Monte-Carlo estimate of a valid candidate's strength at a given noise scale."""
+    _check_dgp(dgp)
+    _check_draws(n_draws)
     if sigma_valid < 0.0:
         raise ConfigurationError(f"sigma_valid must be >= 0, got {sigma_valid}")
     rng = np.random.default_rng(seed)
@@ -163,6 +174,8 @@ def calibrate_sigma_valid(dgp: Dgp, target_u_s: float, n_draws: int = 1_000_000,
     the estimate is within ``tol`` of the target.  A target of 1 (or any
     target at or above the noiseless strength) returns 0.
     """
+    _check_dgp(dgp)
+    _check_draws(n_draws)
     if not 0.5 < target_u_s <= 1.0:
         raise ConfigurationError(f"target_u_s must be in (0.5, 1], got {target_u_s}")
     if target_u_s == 1.0:
@@ -171,8 +184,6 @@ def calibrate_sigma_valid(dgp: Dgp, target_u_s: float, n_draws: int = 1_000_000,
         z = normal_quantile(target_u_s)
         gap = RESPONSE_MEAN_TREATED - RESPONSE_MEAN_CONTROL
         return float(np.sqrt(max(0.0, (gap / z) ** 2 / 2.0 - RESPONSE_SD**2)))
-    if dgp != "complex":
-        raise ConfigurationError(f"dgp must be 'normal' or 'complex', got {dgp!r}")
 
     rng = np.random.default_rng(seed)
     y1 = rng.normal(RESPONSE_MEAN_TREATED, RESPONSE_SD, n_draws) ** 3
@@ -216,66 +227,77 @@ def _covariance_root(diagonal: np.ndarray, off_diagonal: float, label: str) -> n
         ) from None
 
 
-def _draw_invalid(rng: np.random.Generator, dgp: Dgp, n1: int, n0: int, count: int,
-                  sigma_corr: float) -> tuple[np.ndarray, np.ndarray]:
+def _draw_invalid(rng: np.random.Generator, dgp: Dgp, n1: int, out: np.ndarray,
+                  sigma_corr: float, z: np.ndarray) -> None:
+    """Draw the invalid block into ``out`` through ``z``, both of its shape."""
+    count = out.shape[1]
     if dgp == "complex":
         rates = rng.uniform(*_INVALID_RATE_RANGE, size=count)
-        block1 = rng.exponential(1.0 / rates, size=(n1, count))
-        block0 = rng.exponential(1.0 / rates, size=(n0, count))
-        return block1, block0
+        rng.standard_exponential(out=z)
+        np.multiply(z, 1.0 / rates, out=out)
+        return
     means = rng.uniform(*_INVALID_MEAN_RANGE, size=count)
     variances = rng.uniform(*_INVALID_VARIANCE_RANGE, size=count)
+    rng.standard_normal(out=z)
     if count == 1 or sigma_corr == 0.0:
-        block1 = means + np.sqrt(variances) * rng.standard_normal((n1, count))
-        block0 = means + np.sqrt(variances) * rng.standard_normal((n0, count))
-        return block1, block0
-    root = _covariance_root(variances, sigma_corr, "invalid-candidate")
-    block1 = means + rng.standard_normal((n1, count)) @ root.T
-    block0 = means + rng.standard_normal((n0, count)) @ root.T
-    return block1, block0
+        z *= np.sqrt(variances)
+    else:
+        root = _covariance_root(variances, sigma_corr, "invalid-candidate")
+        # one product per arm: a product over both arms may round differently
+        z[:n1], z[n1:] = z[:n1] @ root.T, z[n1:] @ root.T
+    np.add(means, z, out=out)
 
 
-def _draw_valid(rng: np.random.Generator, dgp: Dgp, y1: np.ndarray, y0: np.ndarray,
-                count: int, sigma_valid: float, sigma_corr: float,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    signal1, signal0 = (y1, y0) if dgp == "normal" else (y1**3, y0**3)
+def _draw_valid(rng: np.random.Generator, dgp: Dgp, n1: int, y: np.ndarray, out: np.ndarray,
+                sigma_valid: float, sigma_corr: float, z: np.ndarray) -> None:
+    """Draw the valid block, the response signal plus noise, into ``out`` through ``z``."""
+    signal = (y if dgp == "normal" else y**3)[:, None]
     if sigma_valid == 0.0:
-        return np.tile(signal1[:, None], count), np.tile(signal0[:, None], count)
+        out[...] = signal
+        return
+    count = out.shape[1]
+    rng.standard_normal(out=z)
     if count == 1 or sigma_corr == 0.0:
-        noise1 = sigma_valid * rng.standard_normal((y1.size, count))
-        noise0 = sigma_valid * rng.standard_normal((y0.size, count))
+        z *= sigma_valid
     else:
         # off-diagonal sigma_corr * sigma_valid^2 makes sigma_corr the
         # correlation between the noise terms of any two valid candidates
         variances = np.full(count, sigma_valid**2)
         root = _covariance_root(variances, sigma_corr * sigma_valid**2, "valid-candidate")
-        noise1 = rng.standard_normal((y1.size, count)) @ root.T
-        noise0 = rng.standard_normal((y0.size, count)) @ root.T
-    return signal1[:, None] + noise1, signal0[:, None] + noise0
+        z[:n1], z[n1:] = z[:n1] @ root.T, z[n1:] @ root.T
+    np.add(signal, z, out=out)
 
 
 def _draw(rng: np.random.Generator, dgp: Dgp, n1: int, n0: int, p_invalid: int,
-          p_valid: int, sigma_valid: float, sigma_corr: float):
-    """One replicate's response arms and candidate blocks, invalid columns first.
+          p_valid: int, sigma_valid: float, sigma_corr: float, y: np.ndarray | None = None,
+          candidates: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """One replicate's response and candidates, invalid columns first, as arm views.
 
-    Draws y1, y0, the invalid block and then the valid block from ``rng``,
-    the order every driver relies on to reproduce its streams.
+    Draws the response, the invalid block and then the valid block from
+    ``rng``, each pair of arms in one call with the treated rows first: the
+    order every driver relies on to reproduce its streams.  Writes into
+    ``y`` (n1 + n0 values) and ``candidates`` (n1 + n0 rows, p_invalid +
+    p_valid columns) when given, drawing through ``scratch``, a flat array
+    of at least n1 + n0 times the wider block's width; allocates what is
+    not given.  Returns y1, y0, candidates1 and candidates0.
     """
-    y1 = rng.normal(RESPONSE_MEAN_TREATED, RESPONSE_SD, n1)
-    y0 = rng.normal(RESPONSE_MEAN_CONTROL, RESPONSE_SD, n0)
-    blocks1, blocks0 = [], []
+    rows = n1 + n0
+    y = np.empty(rows) if y is None else y
+    candidates = np.empty((rows, p_invalid + p_valid)) if candidates is None else candidates
+    scratch = np.empty(rows * max(p_invalid, p_valid)) if scratch is None else scratch
+    rng.standard_normal(out=y)
+    y *= RESPONSE_SD
+    y[:n1] += RESPONSE_MEAN_TREATED
+    y[n1:] += RESPONSE_MEAN_CONTROL
     if p_invalid:
-        inv1, inv0 = _draw_invalid(rng, dgp, n1, n0, p_invalid, sigma_corr)
-        blocks1.append(inv1)
-        blocks0.append(inv0)
+        _draw_invalid(rng, dgp, n1, candidates[:, :p_invalid], sigma_corr,
+                      scratch[:rows * p_invalid].reshape(rows, p_invalid))
     if p_valid:
-        val1, val0 = _draw_valid(rng, dgp, y1, y0, p_valid, sigma_valid, sigma_corr)
-        blocks1.append(val1)
-        blocks0.append(val0)
-    candidates1, candidates0 = np.hstack(blocks1), np.hstack(blocks0)
-    if not (np.isfinite(candidates1).all() and np.isfinite(candidates0).all()):
+        _draw_valid(rng, dgp, n1, y, candidates[:, p_invalid:], sigma_valid, sigma_corr,
+                    scratch[:rows * p_valid].reshape(rows, p_valid))
+    if not np.isfinite(candidates).all():
         raise NumericError(f"{dgp} process drew non-finite candidate values")
-    return y1, y0, candidates1, candidates0
+    return y[:n1], y[n1:], candidates[:n1], candidates[n1:]
 
 
 def generate(cfg: DgpConfig, rng: np.random.Generator | None = None) -> SimulatedDataset:
@@ -292,6 +314,18 @@ def generate(cfg: DgpConfig, rng: np.random.Generator | None = None) -> Simulate
                                       sigma_valid, cfg.sigma_corr))
     labels = (False,) * cfg.p_invalid + (True,) * cfg.p_valid
     return SimulatedDataset(dataset=dataset, valid=labels, sigma_valid=sigma_valid)
+
+
+def _replicate_streams(seed: int, n_sim: int):
+    """The generators of replicates 0..n_sim-1, one at a time.
+
+    Replicate i draws from the i-th child of ``SeedSequence(seed)``, as
+    ``spawn(n_sim)`` numbers them; spawning them one by one keeps none
+    beyond its replicate.
+    """
+    root = np.random.SeedSequence(seed)
+    for _ in range(n_sim):
+        yield np.random.default_rng(root.spawn(1)[0])
 
 
 @dataclass(frozen=True)
@@ -333,12 +367,14 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     if n_sim < 1:
         raise ConfigurationError(f"n_sim must be >= 1, got {n_sim}")
     sigma_valid = calibrate_sigma_valid(cfg.dgp, cfg.target_u_s) if cfg.p_valid else 0.0
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_sim)
+    rows = cfg.n1 + cfg.n0
+    y, candidates = np.empty(rows), np.empty((rows, cfg.p_total))
+    scratch = np.empty(rows * max(cfg.p_invalid, cfg.p_valid))
     raw = np.empty((n_sim, cfg.p_total))
     adjusted = np.empty((n_sim, cfg.p_total))
-    for i, stream in enumerate(streams):
-        drawn = _draw(np.random.default_rng(stream), cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid,
-                      cfg.p_valid, sigma_valid, cfg.sigma_corr)
+    for i, rng in enumerate(_replicate_streams(cfg.seed, n_sim)):
+        drawn = _draw(rng, cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid, cfg.p_valid, sigma_valid,
+                      cfg.sigma_corr, y, candidates, scratch)
         u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(_DESIGNS["unpaired"], *drawn)
         epsilon = (max(0.0, u_y - 0.5) if boundary_epsilon
                    else _margin("unpaired", u_y, tie_y, cfg.n1, cfg.n0, test_config))
@@ -369,11 +405,17 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
                               seed: int = 0) -> EvaluationExperiment:
     """Test equal-weight combined markers of known composition.
 
-    Each replicate draws ``n`` subjects per arm, builds a combination of
-    ceil(rho * set_size) invalid members and the rest valid members at
-    ``valid_strength``, all standardized on the same data and equally
-    weighted, and records the p-value ``surrogate_test`` gives the
-    combined marker with the margin derived at the given power.
+    Each (replicate, rho) cell draws ``n`` subjects per arm and builds a
+    combination of ceil(rho * set_size) invalid members and the rest valid
+    members at ``valid_strength``, all standardized on the same data and
+    equally weighted.  It records the p-value of the test of the response
+    against that combined marker, with the margin derived at the given
+    power: bit for bit the p-value ``surrogate_test`` gives the cell.
+
+    A replicate draws its cells in grid order from its own stream into
+    buffers allocated once per call, standardizes them together and
+    writes each cell's response and combined marker into a block buffer;
+    each block of cells is tested with one screening-core call.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
     if n < 2:
@@ -388,33 +430,32 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
         raise ConfigurationError(f"n_sim must be >= 1, got {n_sim}")
     sigma_valid = calibrate_sigma_valid(dgp, valid_strength)
     config = TestConfig(alpha=alpha, power=power)
-
-    def cells():
-        # replicate i draws its cells from the i-th stream of SeedSequence(seed).spawn(n_sim),
-        # spawned one at a time so that none outlives its replicate
-        root = np.random.SeedSequence(seed)
-        for _ in range(n_sim):
-            rng = np.random.default_rng(root.spawn(1)[0])
-            for rho in rho_grid:
-                k_invalid = int(np.ceil(rho * set_size))
-                y1, y0, candidates1, candidates0 = _draw(rng, dgp, n, n, k_invalid,
-                                                         set_size - k_invalid, sigma_valid,
-                                                         sigma_corr)
-                gamma1, gamma0, _, _, _ = weighted_standardized_sum(candidates1, candidates0,
-                                                                    np.ones(set_size))
-                yield y1, y0, gamma1, gamma0
-
-    design, drawn = _DESIGNS["unpaired"], cells()
+    design, k_invalid = _DESIGNS["unpaired"], [int(np.ceil(rho * set_size)) for rho in rho_grid]
     width = max(1, _BLOCK_BYTES // (2 * design.column_bytes(n, n)))
-    # a block of m cells holds cell j's response in row j and its combined marker in row m + j
-    a, b = np.empty((2 * width, n)), np.empty((2 * width, n))
+    # a block of m cells holds cell j's response in row j and its combined marker in row
+    # m + j, each row the treated arm and then the control arm
+    block = np.empty((2 * width, 2 * n))
+    # one replicate's candidates, a cell each, standardized in place
+    candidates, scratch = np.empty((len(rho_grid), 2 * n, set_size)), np.empty(2 * n * set_size)
+    weights = np.ones(set_size)
     pvalues = np.empty((len(rho_grid), n_sim))
-    for start in range(0, pvalues.size, width):
-        m = min(width, pvalues.size - start)
-        for j, (y1, y0, gamma1, gamma0) in enumerate(itertools.islice(drawn, m)):
-            a[j], b[j], a[m + j], b[m + j] = y1, y0, gamma1, gamma0
-        u_y, tie_y, u, sigma = _gaps(design, a[:2 * m].T, b[:2 * m].T, m)
-        epsilon = _margin(design.name, u_y, tie_y, n, n, config)
-        test = _assemble(u_y - u, sigma, epsilon, config.alpha, config.mode)
-        pvalues.T.flat[start:start + m] = test["p_value"]  # cell order: replicate, then rho
+    start, m, j = 0, min(width, pvalues.size), 0  # the block's first cell, its size, cells drawn
+    for rng in _replicate_streams(seed, n_sim):
+        first = 0  # the replicate's first cell whose marker the block lacks
+        for g, k in enumerate(k_invalid, 1):
+            _draw(rng, dgp, n, n, k, set_size - k, sigma_valid, sigma_corr, block[j],
+                  candidates[g - 1], scratch)
+            j += 1
+            if j == m or g == len(k_invalid):
+                # cells first..g-1 hold rows j - (g - first)..j - 1 of the block
+                _standardized_sum(candidates[first:g], n, weights,
+                                  block[m + j - (g - first):m + j])
+                first = g
+            if j == m:
+                u_y, tie_y, u, sigma = _gaps(design, block[:2 * m, :n].T, block[:2 * m, n:].T, m)
+                epsilon = _margin(design.name, u_y, tie_y, n, n, config)
+                test = _assemble(u_y - u, sigma, epsilon, config.alpha, config.mode)
+                pvalues.T.flat[start:start + m] = test["p_value"]  # cell order: replicate, rho
+                start, j = start + m, 0
+                m = min(width, pvalues.size - start)
     return EvaluationExperiment(rho_grid=rho_grid, pvalues=pvalues)

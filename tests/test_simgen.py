@@ -10,11 +10,15 @@ import pytest
 from surrank import pipeline
 from surrank.errors import ConfigurationError
 from surrank.inference import TestConfig, surrogate_test
-from surrank.pipeline import screen, weighted_standardized_sum
+from surrank.pipeline import _standardized_sum, screen, weighted_standardized_sum
 from surrank.rankstats import _DESIGNS, TwoArmSample, u_statistic
 from surrank.simulate import (
+    _INVALID_MEAN_RANGE,
+    _INVALID_RATE_RANGE,
+    _INVALID_VARIANCE_RANGE,
     DgpConfig,
     _confusion,
+    _covariance_root,
     _draw,
     calibrate_sigma_valid,
     estimate_valid_strength,
@@ -100,6 +104,39 @@ def test_calibration_rejects_out_of_range_targets():
     for bad in (0.5, 0.2, 1.2):
         with pytest.raises(ConfigurationError):
             calibrate_sigma_valid("normal", bad)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test on any random generator being made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was made before the arguments were checked")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+def test_calibration_rejects_an_unknown_process_even_at_target_one(no_draws):
+    for target in (1.0, 0.9):
+        with pytest.raises(ConfigurationError, match="dgp must be 'normal' or 'complex'"):
+            calibrate_sigma_valid("bogus", target)
+
+
+def test_strength_estimate_rejects_an_unknown_process(no_draws):
+    with pytest.raises(ConfigurationError, match="dgp must be 'normal' or 'complex'"):
+        estimate_valid_strength("bogus", 0.5)
+
+
+def test_evaluation_driver_rejects_an_unknown_process(no_draws):
+    with pytest.raises(ConfigurationError, match="dgp must be 'normal' or 'complex'"):
+        run_evaluation_experiment(dgp="bogus", valid_strength=1.0, n_sim=5)
+
+
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_monte_carlo_strength_needs_a_draw(no_draws, n_draws):
+    with pytest.raises(ConfigurationError, match="n_draws must be >= 1"):
+        estimate_valid_strength("normal", 0.5, n_draws=n_draws)
+    for dgp in ("normal", "complex"):
+        with pytest.raises(ConfigurationError, match="n_draws must be >= 1"):
+            calibrate_sigma_valid(dgp, 0.9, n_draws=n_draws)
 
 
 def test_valid_candidates_track_the_response():
@@ -313,6 +350,153 @@ def test_evaluation_driver_memory_does_not_grow_with_replicates_beyond_its_pvalu
     # both runs fill at least one block of 102 cells; the slack covers the objects
     # that wait for the cyclic collector between replicates, about 10 KB
     assert large - small <= pvalues_bytes + 32 * 1024
+
+
+def test_screening_driver_memory_does_not_grow_with_replicates_beyond_its_results():
+    cfg = DgpConfig(n1=5, n0=5, p_total=1)
+
+    def overhead(n_sim):
+        """Peak traced memory of one call beyond what its returned experiment holds."""
+        tracemalloc.start()
+        try:
+            experiment = run_screening_experiment(cfg, n_sim=n_sim, keep_pvalues=True)
+            held, peak = tracemalloc.get_traced_memory()
+            assert len(experiment.metrics) == n_sim
+            return peak - held
+        finally:
+            tracemalloc.stop()
+
+    overhead(2)  # warm-up: first-call allocations
+    small, large = overhead(100), overhead(1_000)
+    # the confusion counts pass through two lists of 8-byte references per
+    # replicate; a seed sequence spawned up front for each one took about 340 bytes
+    assert large - small <= 900 * 2 * 8 + 32 * 1024
+
+
+def per_arm_draw(rng, dgp, n1, n0, p_invalid, p_valid, sigma_valid, sigma_corr):
+    """Reference draw of one replicate: each arm's block from its own generator call.
+
+    The response arms, the invalid block and the valid block, in that order,
+    the treated arm first in each; returns y1, y0, candidates1 and
+    candidates0 as separate arrays.
+    """
+    y1 = rng.normal(3.0, 1.0, n1)
+    y0 = rng.normal(0.0, 1.0, n0)
+    blocks = [], []
+    if p_invalid and dgp == "complex":
+        rates = rng.uniform(*_INVALID_RATE_RANGE, size=p_invalid)
+        for arm, size in enumerate((n1, n0)):
+            blocks[arm].append(rng.exponential(1.0 / rates, size=(size, p_invalid)))
+    elif p_invalid:
+        means = rng.uniform(*_INVALID_MEAN_RANGE, size=p_invalid)
+        variances = rng.uniform(*_INVALID_VARIANCE_RANGE, size=p_invalid)
+        root = _covariance_root(variances, sigma_corr, "invalid-candidate")
+        for arm, size in enumerate((n1, n0)):
+            if p_invalid == 1 or sigma_corr == 0.0:
+                noise = np.sqrt(variances) * rng.standard_normal((size, p_invalid))
+            else:
+                noise = rng.standard_normal((size, p_invalid)) @ root.T
+            blocks[arm].append(means + noise)
+    if p_valid:
+        variances = np.full(p_valid, sigma_valid**2)
+        for arm, y in enumerate((y1, y0)):
+            signal = (y if dgp == "normal" else y**3)[:, None]
+            if sigma_valid == 0.0:
+                blocks[arm].append(np.tile(signal, p_valid))
+                continue
+            if p_valid == 1 or sigma_corr == 0.0:
+                noise = sigma_valid * rng.standard_normal((y.size, p_valid))
+            else:
+                root = _covariance_root(variances, sigma_corr * sigma_valid**2,
+                                        "valid-candidate")
+                noise = rng.standard_normal((y.size, p_valid)) @ root.T
+            blocks[arm].append(signal + noise)
+    return y1, y0, np.hstack(blocks[0]), np.hstack(blocks[1])
+
+
+def per_cell_combined_marker(candidates1, candidates0, weights):
+    """Reference standardization of one cell: numpy's moments, one product per arm."""
+    pooled = np.vstack([candidates1, candidates0])
+    means, sds = pooled.mean(axis=0), pooled.std(axis=0, ddof=1)
+    degenerate = sds == 0.0
+    scale, effective = np.where(degenerate, 1.0, sds), np.where(degenerate, 0.0, weights)
+    gamma1 = ((candidates1 - means) / scale) @ effective
+    gamma0 = ((candidates0 - means) / scale) @ effective
+    return gamma1, gamma0, means, sds, degenerate
+
+
+# n per arm, valid strength, sigma_corr; each for both processes
+DRAW_CASES = {
+    "independent": (30, 0.9, 0.0),
+    "correlated": (30, 0.9, 0.3),
+    "noiseless valid members": (30, 1.0, 0.3),
+    "two per arm": (2, 0.9, 0.3),
+}
+
+
+@pytest.mark.parametrize("dgp", ["normal", "complex"])
+@pytest.mark.parametrize("case", DRAW_CASES)
+def test_replicate_buffers_hold_the_per_arm_draws_and_their_combined_markers(dgp, case):
+    n, strength, sigma_corr = DRAW_CASES[case]
+    sigma_valid = calibrate_sigma_valid(dgp, strength)
+    # products over 8 or more members round differently when taken over both arms at once
+    set_size, k_invalid = 20, (0, 1, 8, 13, 20)
+    # buffers as the evaluation driver holds them, reused by every replicate
+    responses = np.empty((len(k_invalid), 2 * n))
+    candidates = np.empty((len(k_invalid), 2 * n, set_size))
+    scratch = np.empty(2 * n * set_size)
+    weights = np.linspace(0.5, 2.0, set_size)
+    for seed in range(3):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for g, k in enumerate(k_invalid):
+            drawn = _draw(rng, dgp, n, n, k, set_size - k, sigma_valid, sigma_corr,
+                          responses[g], candidates[g], scratch)
+            expected.append(per_arm_draw(reference_rng, dgp, n, n, k, set_size - k,
+                                         sigma_valid, sigma_corr))
+            for got, want in zip(drawn, expected[-1]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.random() == reference_rng.random()  # both streams stand at the same place
+
+        stacked = weighted_standardized_sum(candidates[:, :n], candidates[:, n:], weights)
+        gamma = np.empty((len(k_invalid), 2 * n))
+        moments = _standardized_sum(candidates, n, weights, gamma)
+        for g, (_, _, candidates1, candidates0) in enumerate(expected):
+            gamma1, gamma0, *want = per_cell_combined_marker(candidates1, candidates0, weights)
+            assert gamma[g].tobytes() == np.concatenate([gamma1, gamma0]).tobytes()
+            single = weighted_standardized_sum(candidates1, candidates0, weights)
+            for got, value in zip((*stacked, *moments), (gamma1, gamma0, *want, *want)):
+                assert got[g].tobytes() == value.tobytes()
+            for got, value in zip(single, (gamma1, gamma0, *want)):
+                assert got.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("dgp", ["normal", "complex"])
+def test_generate_draws_the_per_arm_arrays(dgp):
+    cfg = DgpConfig(dgp=dgp, scenario="ten_pct_valid", n1=23, n0=17, p_total=30,
+                    sigma_corr=0.3, seed=21)
+    sim = generate(cfg)
+    expected = per_arm_draw(np.random.default_rng(cfg.seed), dgp, 23, 17, 27, 3,
+                            sim.sigma_valid, 0.3)
+    drawn = (sim.dataset.response_a, sim.dataset.response_b, sim.dataset.candidates_a,
+             sim.dataset.candidates_b)
+    for got, want in zip(drawn, expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_standardized_sum_moments_are_numpy_mean_and_std():
+    rng = np.random.default_rng(8)
+    for rows in (2, 3, 17, 200):
+        values = rng.normal(size=(rows, 9)) * np.logspace(-6, 6, 9) + np.logspace(-3, 8, 9)
+        values[:, 0] = 0.25  # no spread: its sd is 0 and it contributes nothing
+        gamma_a, gamma_b, means, sds, degenerate = weighted_standardized_sum(
+            values[:1], values[1:], np.ones(9))
+        assert means.tobytes() == values.mean(axis=0).tobytes()
+        assert sds.tobytes() == values.std(axis=0, ddof=1).tobytes()
+        assert degenerate.tolist() == [True] + [False] * 8
+        centred = (values[:, 1:] - means[1:]) / sds[1:]
+        assert np.allclose(np.concatenate([gamma_a, gamma_b]), centred.sum(axis=1),
+                           rtol=1e-12, atol=1e-12)
 
 
 # (config, test config, method, boundary margin): every case spans more than one kernel block
