@@ -20,7 +20,8 @@ per-cell driver takes, so the same script times older trees, whose
 driver is that loop.
 
 Each timing is the median of ``REPEATS`` batches of calls.  Like the
-perfbench workloads, the script fixes glibc's mmap threshold at 128 KiB.
+perfbench workloads, the script fixes glibc's mmap threshold (and the
+heap-trim threshold with it) at 128 KiB.
 The JSON records the sizes, the numpy/scipy versions and the git sha of
 the tree the ``surrank`` package was imported from.
 """

@@ -12,9 +12,12 @@ uses at these heights (``bench/screen.py`` sweeps the width).  The 50 / 2 case a
 fixed per-call costs the simulation drivers pay 200 times per call.
 
 Each case runs ``REPEATS`` batches of calls and records the time per call
-of every batch and their median.  Like the perfbench workloads, the
-script fixes glibc's mmap threshold at 128 KiB, so every large temporary
-is mapped and returned on each call and its page faults are timed.  The
+of every batch and their median.  Trees whose kernel takes a pooled block
+and a workspace get both built once per case, as a screening call builds
+them once for all its blocks.  Like the perfbench workloads, the script
+fixes glibc's mmap threshold (and the heap-trim threshold with it) at
+128 KiB, so every large temporary the kernel allocates is mapped and
+returned on each call and its page faults are timed.  The
 JSON also records the sizes, the numpy/scipy versions and the git sha of
 the tree the ``surrank`` package was imported from.  Each kernel's U is
 checked against ``scipy.stats.mannwhitneyu`` before timing.
@@ -49,12 +52,23 @@ SIZES = (
     ("rounded_150x513", 150, 513, True, 4),
     ("single_marker_50x2", 50, 2, False, 500),
 )
-M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 128 * 1024
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, MMAP_THRESHOLD = -1, -3, 128 * 1024
 
 
 def fix_mmap_threshold() -> bool:
+    """Fix glibc's mmap threshold, and its heap-trim threshold, at 128 KiB.
+
+    perfbench fixes the mmap threshold before numpy is imported, which
+    leaves the trim threshold at its 128 KiB default.  The bench scripts
+    fix it after their imports, whose frees may have raised the trim
+    threshold along with the mmap threshold; unless it is set too, freed
+    temporaries stay on the heap where perfbench would see them trimmed
+    and faulted in again.
+    """
     try:
-        return ctypes.CDLL(None).mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+        libc = ctypes.CDLL(None)
+        return (libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+                and libc.mallopt(M_TRIM_THRESHOLD, MMAP_THRESHOLD) == 1)
     except (OSError, AttributeError):
         return False
 
@@ -64,6 +78,21 @@ def design_kernel(design: str):
     if hasattr(rankstats, "_Design"):
         return rankstats._Design.named(design).kernel
     return functools.partial(rankstats._placements, design)
+
+
+def kernel_call(design: str, a: np.ndarray, b: np.ndarray):
+    """One call of the imported tree's kernel on an ``(n_a, k)`` and an ``(n_b, k)`` block.
+
+    Trees with a workspace take the pooled ``(k, n_a + n_b)`` block, which is
+    built here once, and count the ties of the first row only, as ``screen``
+    has them do; older trees take the two blocks.
+    """
+    kernel = design_kernel(design)
+    if hasattr(rankstats, "_Workspace"):
+        pooled = np.hstack([a.T, b.T])
+        work = rankstats._Workspace(*pooled.shape)
+        return lambda: kernel(pooled, a.shape[0], work, 1)
+    return lambda: kernel(a, b)
 
 
 def per_call(fn, calls: int) -> list[float]:
@@ -82,12 +111,11 @@ def time_case(name: str, n: int, k: int, rounded: bool, calls: int) -> dict:
     a, b = rng.normal(0.3, 1.0, (n, k)), rng.normal(0.0, 1.0, (n, k))
     if rounded:
         a, b = np.round(a), np.round(b)
-    kernel = design_kernel("unpaired")
-    placements = kernel(a, b)
+    call = kernel_call("unpaired", a, b)
     expected = mannwhitneyu(a, b, axis=0).statistic / (n * n)
-    if not np.array_equal(placements.u, expected):
+    if not np.array_equal(call().u, expected):
         raise SystemExit(f"{name}: kernel U differs from scipy's Mann-Whitney U")
-    kernel_s = per_call(lambda: kernel(a, b), calls)
+    kernel_s = per_call(call, calls)
     case = {"name": name, "n_per_arm": n, "k": k, "rounded": rounded,
             "levels": int(np.unique(np.concatenate([a, b])).size) if rounded else None,
             "calls_per_batch": calls,

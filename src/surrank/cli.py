@@ -17,8 +17,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .dataio import (
     IngestSpec,
     _read_weights,
@@ -45,6 +43,10 @@ _EVALUATION_SIM_POWER = 0.80
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no abbreviations: `simulate --epsilon` must not be read as `--epsilon-mode`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -238,9 +240,18 @@ def _write_scatter(args, data: Dataset, gamma, path: str) -> float:
     spec = _spec(args)
     ids = [*data.ids_a, *data.ids_b]
     blocks = [spec.group_a] * data.n_a + [spec.group_b] * data.n_b
-    _, values_a, values_b = _stack(data.response_sample(), gamma)
-    values = np.concatenate([values_a, values_b])
-    return write_rank_scatter(ids, blocks, values[:, 0], values[:, 1], path)
+    _, (response, marker), _ = _stack(data.response_sample(), gamma)
+    return write_rank_scatter(ids, blocks, response, marker, path)
+
+
+def _warn_zero_margin(args, result, data: Dataset) -> None:
+    """Say on stderr when a derived margin floored at 0, which few markers can pass."""
+    if args.epsilon is None and result.epsilon == 0.0:
+        outcome = ("the test cannot pass" if result.mode == "tost"
+                   else "the test passes only if the marker significantly beats the response")
+        print(f"warning: the derived margin is 0 at {data.n_a} + {data.n_b} observations "
+              f"(u_response={result.u_response:.4g}), so {outcome}; "
+              f"--epsilon fixes a margin", file=sys.stderr)
 
 
 def _print_results(results) -> None:
@@ -289,6 +300,7 @@ def _cmd_evaluate(args) -> int:
     if args.out:
         write_evaluation_summary([("gamma", result)], args.out)
     _print_results([("gamma", result)])
+    _warn_zero_margin(args, result, data)
     return 0
 
 
@@ -313,6 +325,7 @@ def _cmd_rise(args) -> int:
           f"epsilon={result.screening.epsilon_used:.6g} "
           f"selected {len(result.screening.selected)} of {data.p} candidates")
     _print_results([("gamma", result.evaluation)])
+    _warn_zero_margin(args, result.evaluation, result.evaluation_data)
     print(f"spearman_rho {rho!r}")
     for path in paths.values():
         print(f"wrote {path}")

@@ -167,7 +167,7 @@ def surrogate_test(response, candidate, config: TestConfig = TestConfig()) -> Su
     :class:`PairedSample`.  With ``config.epsilon=None`` the margin is
     derived from the response effect at the configured power.
     """
-    design, a, b = _stack(response, candidate)
-    (u_y,), (tie_y,), u_candidate, sigma = _gaps(design, a, b)
-    epsilon = _margin(design.name, u_y, tie_y, a.shape[0], b.shape[0], config)
+    design, pooled, n_a = _stack(response, candidate)
+    (u_y,), (tie_y,), u_candidate, sigma = _gaps(design, pooled, n_a)
+    epsilon = _margin(design.name, u_y, tie_y, n_a, pooled.shape[1] - n_a, config)
     return _results(u_y, u_candidate, sigma, epsilon, config)[0]

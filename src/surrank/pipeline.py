@@ -22,17 +22,24 @@ from .errors import (
 )
 from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results
 from .multitest import Method, adjust
-from .rankstats import Design, PairedSample, TwoArmSample, _as_finite_vector, _Design, _stack
+from .rankstats import (
+    Design,
+    PairedSample,
+    TwoArmSample,
+    _as_finite_vector,
+    _Design,
+    _stack,
+    _Workspace,
+)
 from .variance import _gaps
 
-# Bytes of the kernel's largest float64 temporary allowed per kernel call in
-# `_screen_gaps`; the design's `column_bytes` gives its size per candidate column,
-# 8 * (n_a + n_b) unpaired and 8 * n_units paired.  Under a 128 KiB mmap
-# threshold bench/screen.py measures the cost per column jumping by a third or
-# more once that temporary passes about 95-115 KB (the kernel's arrays are then
-# mapped and page-faulted afresh on each call), and falling only slowly with the
-# width below it.  64 KiB (40 columns at n = 100 + 100) keeps a 1.5x margin
-# under that edge, whose place moves with the allocation history.
+# Bytes of the kernel's largest float64 temporary allowed per block in `_screen_gaps`;
+# the design's `column_bytes` gives its size per candidate column, 8 * (n_a + n_b)
+# unpaired and 8 * n_units paired.  Every block of a call reuses one workspace, whose
+# size the width sets: about a dozen arrays of the block's size (some 0.8 MB at 40
+# columns of 100 + 100).  Under a 128 KiB mmap threshold bench/screen.py finds the
+# cost per column falling steeply up to about 24 columns and within about 20 % of its
+# least from there to 256 columns at the unpaired heights it sweeps.
 _BLOCK_BYTES = 64 * 1024
 # Selected candidates that `run_pipeline` retests one by one on the evaluation split.
 _TOP_MARKERS = 10
@@ -337,25 +344,43 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     )
 
 
+def _screen_workspace(design: _Design, n_a: int, n_b: int, p: int) -> _Workspace:
+    """A workspace for :func:`_screen_gaps`: the response row and a block of candidate rows.
+
+    A block holds as many candidates as ``_BLOCK_BYTES`` allows, by the
+    design's ``column_bytes``, and at most ``p``.
+    """
+    width = max(1, _BLOCK_BYTES // design.column_bytes(n_a, n_b))
+    return _Workspace(min(width, p) + 1, n_a + n_b)
+
+
 def _screen_gaps(design: _Design, response_a: np.ndarray, response_b: np.ndarray,
-                 candidates_a: np.ndarray, candidates_b: np.ndarray):
+                 candidates_a: np.ndarray, candidates_b: np.ndarray,
+                 work: _Workspace | None = None):
     """U_y, its tie fraction, each candidate's U, the standard error of its gap and its flat flag.
 
-    Runs :func:`_gaps` over blocks of candidate columns sized to
-    ``_BLOCK_BYTES``, each block led by the response column.  No column's
+    Writes the response into row 0 of ``work`` (a :func:`_screen_workspace`
+    made for this call when not given) and each block of candidate columns,
+    transposed, into the rows below it, then runs :func:`_gaps` over the
+    pooled block, so every block reuses the same buffers.  No candidate's
     arithmetic depends on the block that holds it, so the results do not
     depend on the width.  A candidate is flat when it has no spread in
     either block.
     """
-    n_a, n_b = response_a.size, response_b.size
-    width = max(1, _BLOCK_BYTES // design.column_bytes(n_a, n_b))
-    blocks = [_gaps(design, np.column_stack([response_a, candidates_a[:, start:start + width]]),
-                    np.column_stack([response_b, candidates_b[:, start:start + width]]))
-              for start in range(0, candidates_a.shape[1], width)]
+    (n_a, p), n_b = candidates_a.shape, response_b.size
+    if work is None:
+        work = _screen_workspace(design, n_a, n_b, p)
+    pooled, width = work.pooled, work.pooled.shape[0] - 1
+    pooled[0, :n_a], pooled[0, n_a:] = response_a, response_b
+    u, sigma = np.empty(p), np.empty(p)
+    for start in range(0, p, width):
+        stop = min(start + width, p)
+        block = pooled[:stop - start + 1]
+        block[1:, :n_a] = candidates_a[:, start:stop].T
+        block[1:, n_a:] = candidates_b[:, start:stop].T
+        (u_y,), (tie_y,), u[start:stop], sigma[start:stop] = _gaps(design, block, n_a, 1, work)
     flat = (np.ptp(candidates_a, axis=0) == 0.0) & (np.ptp(candidates_b, axis=0) == 0.0)
-    (u_y,), (tie_y,) = blocks[0][:2]
-    return (u_y, tie_y, np.concatenate([u for _, _, u, _ in blocks]),
-            np.concatenate([sd for *_, sd in blocks]), flat)
+    return u_y, tie_y, u, sigma, flat
 
 
 def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndarray,
@@ -380,10 +405,13 @@ def weight_floor(design: Design, n_a: int, n_b: int) -> float:
 def weighted_standardized_sum(values_a: np.ndarray, values_b: np.ndarray, weights):
     """Per-subject weighted sum of columns standardized with pooled moments.
 
-    Columns whose pooled sample sd is zero contribute nothing; the returned
-    mask marks them.  Standardization uses the mean and ddof=1 sd over the
-    rows of both blocks together.  The blocks may also be stacks of blocks,
-    ``(cells, rows, p)``, each cell standardized and summed on its own.
+    Flat columns, with no spread over the rows of both blocks, get their
+    value as mean and an sd of 0 and contribute nothing, as a column of
+    zeros would; so do columns whose sd underflows to zero.  The returned
+    mask marks them.  Standardization uses the mean
+    and ddof=1 sd over the rows of both blocks together.  The blocks may
+    also be stacks of blocks, ``(cells, rows, p)``, each cell standardized
+    and summed on its own.
     """
     n_a = np.shape(values_a)[-2]
     pooled = np.concatenate([values_a, values_b], axis=-2, dtype=float)
@@ -404,8 +432,15 @@ def _standardized_sum(pooled: np.ndarray, n_a: int, weights, out: np.ndarray):
     each block.
     """
     rows = pooled.shape[-2]
+    # A flat member's mean is its value, which the rounded sum can miss (seven rows of
+    # 0.1 would get an sd of 1.5e-17); with it, its deviations and sd are 0.  Only a
+    # column whose first and last rows agree can be flat, so only those get the full
+    # check, which over all columns would cost a third of the call.
+    flat = pooled[..., 0, :] == pooled[..., -1, :]
+    flat[flat] = np.ptp(np.swapaxes(pooled, -1, -2)[flat], axis=-1) == 0.0
     means = np.add.reduce(pooled, axis=-2)
     means /= rows
+    np.copyto(means, pooled[..., 0, :], where=flat)
     deviations = np.subtract(pooled, means[..., None, :], out=pooled)
     sds = np.add.reduce(np.square(deviations), axis=-2)
     sds /= rows - 1
@@ -478,10 +513,11 @@ def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
     """The combined marker's test, then its first members' at its margin, in one kernel pass."""
     members = selected[:_TOP_MARKERS]
     cols = [data._column(name) for name in members]
-    design, a, b = _stack(data.response_sample(), gamma)
-    u_y, tie_y, u, sigma, _ = _screen_gaps(design, a[:, 0], b[:, 0],
-                                           np.column_stack([a[:, 1], data.candidates_a[:, cols]]),
-                                           np.column_stack([b[:, 1], data.candidates_b[:, cols]]))
+    design, pair, n_a = _stack(data.response_sample(), gamma)
+    u_y, tie_y, u, sigma, _ = _screen_gaps(
+        design, pair[0, :n_a], pair[0, n_a:],
+        np.column_stack([pair[1, :n_a], data.candidates_a[:, cols]]),
+        np.column_stack([pair[1, n_a:], data.candidates_b[:, cols]]))
     epsilon = _margin(design.name, u_y, tie_y, data.n_a, data.n_b, config)
     evaluation, *tests = _results(u_y, u, sigma, epsilon, config)
     return evaluation, tuple(zip(members, tests))

@@ -10,13 +10,16 @@ the other arm's entries below its run plus half of those inside it (the
 midrank construction of Sun & Xu, 2014), so the order in which the sort
 leaves equal values cannot change a count.
 
-Each design has one kernel, which works on whole blocks of variables at
-once and returns every observation's kernel sum against its comparison
-partners (DeLong's placement values, scaled by the partner count).  The U
-estimates, the variance of a gap between two U estimates and the
-single-variable estimator all derive from it.  Everything else that
-depends on the design lives beside its kernel in one :class:`_Design`
-object, and only :meth:`_Design.named` checks a design name.
+Each design has one kernel, which works on a pooled block of variables
+at once, one variable per row with block a's observations first, and
+returns every observation's doubled kernel sum against its comparison
+partners (DeLong's placement values, scaled by twice the partner count).
+Its temporaries live in a :class:`_Workspace` that a caller makes once
+and reuses for every block.  The U estimates, the variance of a gap
+between two U estimates and the single-variable estimator all derive
+from it.  Everything else that depends on the design lives beside its
+kernel in one :class:`_Design` object, and only :meth:`_Design.named`
+checks a design name.
 """
 
 from __future__ import annotations
@@ -104,16 +107,46 @@ def g_kernel(a: float, b: float) -> float:
     return 0.0
 
 
+class _Workspace:
+    """Buffers for blocks of up to ``rows`` variables over ``n`` pooled observations.
+
+    ``pooled`` holds a block: one variable per row, block a's observations
+    first.  The other arrays are the kernels' and the variance's
+    temporaries, which every block overwrites, so a call that makes one
+    workspace for all its blocks allocates only argsort's index array per
+    block and finds every other page already mapped.
+    """
+
+    def __init__(self, rows: int, n: int):
+        marks = rows * (n + 1)
+        self.pooled = np.empty((rows, n))
+        self.row_starts = np.arange(0, rows * n, n)[:, None]
+        self.control = np.empty((rows, n), dtype=bool)
+        self.ordered = np.empty((rows, n))  # the sorted block, then its doubled counts
+        # the unpaired kernel's flat positions: each row's sorted entries, then a row
+        # end; columns 0 and n stay flagged and column 0 of `below` stays 0
+        self.flags = np.ones((rows, n + 1), dtype=bool)
+        self.below = np.zeros((rows, n + 1), dtype=np.intp)
+        self.position = np.tile(np.arange(n + 1), rows)
+        self.run = np.empty(marks, dtype=np.intp)
+        self.slot = np.empty(marks, dtype=np.intp)  # compaction slots, then table lookups
+        self.a_at = np.empty(marks + 1, dtype=np.intp)
+        self.b_at = np.empty(marks + 1, dtype=np.intp)
+        self.table = np.empty(2 * marks)
+        self.counts = np.empty((rows, n))
+
+
 @dataclass(frozen=True)
 class _Placements:
-    """Kernel sums of every observation against its partners, one row per variable.
+    """Doubled kernel sums of every observation against its partners, one row per variable.
 
-    ``counts`` holds one ``(k, n)`` array per side, each entry the kernel
-    summed over that observation's ``partners`` comparisons: unpaired, the
-    treated arm against all controls and all treated against each control;
-    paired, the unit's own (post, pre) kernel.  Entries are multiples of
-    1/2, so their sums are exact.  ``sizes`` gives each side's observation
-    count and ``ties`` the tied comparisons per row.
+    ``counts`` holds one ``(k, n)`` view per side, each entry twice the
+    kernel summed over that observation's ``partners`` comparisons:
+    unpaired, the treated arm against all controls and all treated against
+    each control; paired, the unit's own (post, pre) kernel.  Doubled, the
+    entries are integers, so their sums are exact.  ``sizes`` gives each
+    side's observation count and ``ties`` the tied comparisons of the
+    leading rows the kernel was asked to count.
     """
 
     counts: tuple[np.ndarray, ...]
@@ -128,54 +161,70 @@ class _Placements:
     @property
     def u(self) -> np.ndarray:
         """U estimate of each row: the kernel total over the comparison count."""
-        return self.counts[0].sum(axis=1) / self.comparisons
+        return self.counts[0].sum(axis=1) / (2 * self.comparisons)
 
 
-def _paired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
+def _paired_placements(pooled: np.ndarray, n_a: int, work: _Workspace,
+                       tied_rows: int) -> _Placements:
     """The paired kernel: each unit's own (post, pre) comparison, row for row."""
-    post, pre = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    ties = post == pre
-    return _Placements(((post > pre) + 0.5 * ties,), (1,), (post.shape[1],), ties.sum(axis=1))
+    k = pooled.shape[0]
+    post, pre = pooled[:, :n_a], pooled[:, n_a:]
+    # doubled, a win scores 1 + 1, a tie 1 + 0
+    counts = np.greater_equal(post, pre, out=work.counts.ravel()[:k * n_a].reshape(k, n_a))
+    counts += np.greater(post, pre, out=work.control.ravel()[:k * n_a].reshape(k, n_a))
+    ties = np.count_nonzero(counts[:tied_rows] == 1.0, axis=1)
+    return _Placements((counts,), (1,), (n_a,), ties)
 
 
-def _unpaired_placements(a: np.ndarray, b: np.ndarray) -> _Placements:
+def _unpaired_placements(pooled: np.ndarray, n_a: int, work: _Workspace,
+                         tied_rows: int) -> _Placements:
     """The unpaired kernel: every treated entry against every control, per row."""
-    (n_a, k), n_b = a.shape, b.shape[0]
-    n = n_a + n_b
-    pooled = np.concatenate([a.T, b.T], axis=1)
+    k, n = pooled.shape
     order = np.argsort(pooled, axis=1)
-    rows = np.arange(k)[:, None]
-    ordered = pooled[rows, order]
-    # a tie run starts at each row's first entry and wherever the sorted value
-    # changes; runs are numbered from 1 across all rows, and run r spans
-    # bounds[r - 1]:bounds[r], the last bound being k * n
-    flags = np.ones(k * n + 1, dtype=bool)
-    starts = flags[:-1].reshape(k, n)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
-    run = np.cumsum(starts)
-    bounds = np.flatnonzero(flags)
-    treated_before = np.zeros(k * n + 1, dtype=np.intp)
-    np.cumsum(order < n_a, out=treated_before[1:])
-    a_at = treated_before[bounds]
-    b_at = bounds - a_at
-    # a treated entry scores the controls below its run plus half those in it,
-    # (b_at[r - 1] + b_at[r]) / 2, and a control entry the treated above its run
-    # plus half those in it, n_a - (a_at[r - 1] + a_at[r]) / 2; both counts start
-    # at row i with i * n_b controls and i * n_a treated before them
-    treated_run, control_run = np.zeros(bounds.size), np.zeros(bounds.size)
-    np.add(b_at[:-1], b_at[1:], out=treated_run[1:])
-    np.add(a_at[:-1], a_at[1:], out=control_run[1:])
-    treated_run *= 0.5
-    control_run *= -0.5
-    run_of = np.empty((k, n), dtype=np.intp)
-    run_of[rows, order] = run.reshape(k, n)
-    treated = treated_run[run_of[:, :n_a]]
-    treated -= n_b * rows
-    control = control_run[run_of[:, n_a:]]
-    control += n_a * (rows + 1)
-    tied = (a_at[1:] - a_at[:-1]) * (b_at[1:] - b_at[:-1])
-    ties = np.add.reduceat(tied, run[::n] - 1)
-    return _Placements((treated, control), (n_b, n_a), (n_a, n_b), ties)
+    control = np.greater_equal(order, n_a, out=work.control[:k])
+    order += work.row_starts[:k]
+    ordered = np.take(pooled, order, out=work.ordered[:k], mode="clip")
+    # flat position i (n + 1) + j holds row i's j-th sorted entry and position
+    # i (n + 1) + n ends row i.  A tie run starts at each row's first entry and
+    # wherever the sorted value changes; run starts and row ends are flagged and
+    # numbered from 1 in flat order, and a run spans its flag to the next one
+    flags = work.flags[:k]
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=flags[:, 1:n])
+    run = np.cumsum(flags, dtype=np.intp, out=work.run[:k * (n + 1)])
+    marks = int(run[-1])
+    below = work.below[:k]  # controls before each position of its row
+    np.cumsum(control, axis=1, dtype=np.intp, out=below[:, 1:])
+    # a_at[q - 1] and b_at[q - 1]: the treated and the controls before flag q in its
+    # row; unflagged positions all write to slot `marks`, which nothing reads
+    slot = work.slot[:run.size]
+    slot.fill(marks)
+    np.subtract(run, 1, out=slot, where=flags.ravel())
+    a_at, b_at = work.a_at[:marks + 1], work.b_at[:marks + 1]
+    b_at[slot] = below.ravel()
+    a_at[slot] = work.position[:run.size]
+    a_at -= b_at
+    # doubled, a treated entry of run q scores the controls below the run plus those
+    # in it, b_at[q - 1] + b_at[q], kept in table[q]; a control entry the treated
+    # above it plus those in it, 2 n_a - a_at[q - 1] - a_at[q], in table[marks + q]
+    table = work.table[:2 * marks]
+    np.add(b_at[:marks - 1], b_at[1:marks], out=table[1:marks])
+    np.add(a_at[:marks - 1], a_at[1:marks], out=table[marks + 1:])
+    np.subtract(2 * n_a, table[marks + 1:], out=table[marks + 1:])
+    lookup = np.multiply(control, marks, out=slot[:k * n].reshape(k, n))
+    lookup += run.reshape(k, n + 1)[:, :n]
+    doubled = np.take(table, lookup, out=ordered, mode="clip")
+    counts = work.counts[:k]
+    counts.ravel()[order] = doubled
+    # run q has (a_at[q] - a_at[q - 1]) (b_at[q] - b_at[q - 1]) tied comparisons; the
+    # pair of a row end and the next row's first flag is no run and gives n_a n_b
+    ends = run[n:(n + 1) * tied_rows:n + 1]
+    last = int(ends[-1])
+    tied = np.subtract(a_at[1:last], a_at[:last - 1])
+    tied *= b_at[1:last] - b_at[:last - 1]
+    ties = np.add.reduceat(tied, np.concatenate([[0], ends[:-1]]))
+    ties[:-1] -= n_a * (n - n_a)
+    return _Placements((counts[:, :n_a], counts[:, n_a:]), (n - n_a, n_a), (n_a, n - n_a),
+                       ties)
 
 
 @dataclass(frozen=True)
@@ -184,8 +233,9 @@ class _Design:
 
     ``shared_units`` says whether blocks a and b list the same units row for
     row (post and pre) rather than two arms.  ``blocks`` reads a sample's
-    blocks a and b.  ``kernel`` takes an ``(n_a, k)`` and an ``(n_b, k)``
-    block.  ``groups`` holds the default group column and the labels of
+    blocks a and b.  ``kernel`` takes a pooled ``(k, n_a + n_b)`` block, n_a,
+    a workspace for at least that block and the number of leading rows whose
+    ties it counts.  ``groups`` holds the default group column and the labels of
     blocks a and b in input files.
     """
 
@@ -193,7 +243,7 @@ class _Design:
     sample: type
     blocks: Callable[[object], tuple[np.ndarray, np.ndarray]]
     shared_units: bool
-    kernel: Callable[[np.ndarray, np.ndarray], _Placements]
+    kernel: Callable[[np.ndarray, int, _Workspace, int], _Placements]
     null_variance: Callable[[int, int, float], float]  # of one U, given the tie fraction
     weight_floor: Callable[[int, int], float]  # floor of |gap| in the combination weights
     groups: tuple[str, str, str]
@@ -236,8 +286,8 @@ def _unpack(sample) -> tuple[_Design, np.ndarray, np.ndarray]:
     raise AlignmentError(f"{type(sample).__name__} is not the sample type of any design")
 
 
-def _stack(response, candidate) -> tuple[_Design, np.ndarray, np.ndarray]:
-    """A response and a candidate sample as the two columns of the design's blocks."""
+def _stack(response, candidate) -> tuple[_Design, np.ndarray, int]:
+    """A response and a candidate sample as the two rows of a pooled block, and its n_a."""
     design, y_a, y_b = _unpack(response)
     other, s_a, s_b = _unpack(candidate)
     if other is not design:
@@ -247,7 +297,7 @@ def _stack(response, candidate) -> tuple[_Design, np.ndarray, np.ndarray]:
         raise AlignmentError(
             f"response and candidate cover different units: sizes {y_sizes} vs {s_sizes}"
         )
-    return design, np.array([y_a, s_a]).T, np.array([y_b, s_b]).T
+    return design, np.concatenate([y_a, y_b, s_a, s_b]).reshape(2, -1), y_a.size
 
 
 def u_statistic(sample) -> UEstimate:
@@ -258,7 +308,8 @@ def u_statistic(sample) -> UEstimate:
     (post, pre) pairs of a :class:`PairedSample` (grid k / (2 * n)).
     """
     design, a, b = _unpack(sample)
-    placements = design.kernel(a[:, None], b[:, None])
+    pooled = np.concatenate([a, b])[None]
+    placements = design.kernel(pooled, a.size, _Workspace(*pooled.shape), 1)
     return UEstimate(float(placements.u[0]), design.name,
                      float(placements.ties[0] / placements.comparisons))
 

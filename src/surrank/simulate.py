@@ -6,11 +6,12 @@ Phi(3/sqrt(2)) on the probability scale.  Valid candidates are the
 response (or its cube) plus calibrated noise; invalid candidates are
 treatment-free noise.  The experiment drivers replay the screening and
 evaluation procedures over many seeded replicates and summarize error
-rates against the known labels.  The evaluation driver tests its
-(replicate, rho) cells in blocks, a response and a combined-marker column
-per cell, with one screening-core call per block.  Every driver draws
-through one function, which writes a replicate's arrays into buffers its
-caller can reuse.
+rates against the known labels.  Each driver makes one screening-core
+workspace per call and reuses it for every block of every replicate.  The
+evaluation driver tests its (replicate, rho) cells in pooled blocks, a
+response row and a combined-marker row per cell, with one screening-core
+call per block.  Every driver draws through one function, which writes a
+replicate's arrays into buffers its caller can reuse.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .inference import TestConfig, _assemble, _margin
 from .multitest import Method
-from .pipeline import _BLOCK_BYTES, Dataset, _screen_gaps, _screen_tests, _standardized_sum
-from .rankstats import _DESIGNS, normal_cdf, normal_quantile
+from .pipeline import (
+    _BLOCK_BYTES,
+    Dataset,
+    _screen_gaps,
+    _screen_tests,
+    _screen_workspace,
+    _standardized_sum,
+)
+from .rankstats import _DESIGNS, _Workspace, normal_cdf, normal_quantile
 from .variance import _gaps
 
 Dgp = Literal["normal", "complex"]
@@ -359,23 +367,25 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     candidates with no effect exactly on the test boundary; otherwise the
     margin follows ``test_config``.  Each replicate draws its data from
     an independent stream derived from ``cfg.seed``, as :func:`generate`
-    would, and runs the columnar core of :func:`~surrank.pipeline.screen`
-    on the drawn arrays, so its raw p-values and selected set are those
+    would, and runs the core of :func:`~surrank.pipeline.screen` on the
+    drawn arrays, in one workspace made for the call and reused by every
+    replicate, so its raw p-values and selected set are bit for bit those
     of ``screen(generate(cfg, rng).dataset, ...)``.  A candidate is
     selected when its adjusted p is below ``test_config.alpha``.
     """
     if n_sim < 1:
         raise ConfigurationError(f"n_sim must be >= 1, got {n_sim}")
     sigma_valid = calibrate_sigma_valid(cfg.dgp, cfg.target_u_s) if cfg.p_valid else 0.0
-    rows = cfg.n1 + cfg.n0
+    rows, design = cfg.n1 + cfg.n0, _DESIGNS["unpaired"]
     y, candidates = np.empty(rows), np.empty((rows, cfg.p_total))
     scratch = np.empty(rows * max(cfg.p_invalid, cfg.p_valid))
+    work = _screen_workspace(design, cfg.n1, cfg.n0, cfg.p_total)
     raw = np.empty((n_sim, cfg.p_total))
     adjusted = np.empty((n_sim, cfg.p_total))
     for i, rng in enumerate(_replicate_streams(cfg.seed, n_sim)):
         drawn = _draw(rng, cfg.dgp, cfg.n1, cfg.n0, cfg.p_invalid, cfg.p_valid, sigma_valid,
                       cfg.sigma_corr, y, candidates, scratch)
-        u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(_DESIGNS["unpaired"], *drawn)
+        u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(design, *drawn, work)
         epsilon = (max(0.0, u_y - 0.5) if boundary_epsilon
                    else _margin("unpaired", u_y, tie_y, cfg.n1, cfg.n0, test_config))
         _, _, raw[i], adjusted[i] = _screen_tests(u_y, u_candidate, sigma, flat, epsilon,
@@ -414,8 +424,9 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
 
     A replicate draws its cells in grid order from its own stream into
     buffers allocated once per call, standardizes them together and
-    writes each cell's response and combined marker into a block buffer;
-    each block of cells is tested with one screening-core call.
+    writes each cell's response and combined marker as two rows of the
+    pooled block of one screening-core workspace, made once per call;
+    each block of cells is tested with one screening-core call in it.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
     if n < 2:
@@ -432,9 +443,11 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
     config = TestConfig(alpha=alpha, power=power)
     design, k_invalid = _DESIGNS["unpaired"], [int(np.ceil(rho * set_size)) for rho in rho_grid]
     width = max(1, _BLOCK_BYTES // (2 * design.column_bytes(n, n)))
-    # a block of m cells holds cell j's response in row j and its combined marker in row
-    # m + j, each row the treated arm and then the control arm
-    block = np.empty((2 * width, 2 * n))
+    # a block of m cells holds cell j's response in row j of the workspace's pooled
+    # block and its combined marker in row m + j, each row the treated arm and then
+    # the control arm
+    work = _Workspace(2 * width, 2 * n)
+    block = work.pooled
     # one replicate's candidates, a cell each, standardized in place
     candidates, scratch = np.empty((len(rho_grid), 2 * n, set_size)), np.empty(2 * n * set_size)
     weights = np.ones(set_size)
@@ -452,7 +465,7 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
                                   block[m + j - (g - first):m + j])
                 first = g
             if j == m:
-                u_y, tie_y, u, sigma = _gaps(design, block[:2 * m, :n].T, block[:2 * m, n:].T, m)
+                u_y, tie_y, u, sigma = _gaps(design, block[:2 * m], n, m, work)
                 epsilon = _margin(design.name, u_y, tie_y, n, n, config)
                 test = _assemble(u_y - u, sigma, epsilon, config.alpha, config.mode)
                 pvalues.T.flat[start:start + m] = test["p_value"]  # cell order: replicate, rho

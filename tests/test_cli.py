@@ -148,6 +148,54 @@ def test_rise_reproduces_golden_artifacts(tmp_path, design):
     assert (tmp_path / "cand.csv").read_bytes() == (source / "candidates.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed, warned", [(3, True), (0, False)])
+def test_rise_warns_on_stderr_when_the_derived_margin_is_zero(tmp_path, capsys, seed, warned):
+    # split seed 3 of the paired golden study leaves an evaluation margin of 0, seed 0 does not
+    source = GOLDEN_RISE / "paired"
+    resp, cand = str(source / "response.csv"), str(source / "candidates.csv")
+    assert main(["rise", *base(resp, cand), "--design", "paired", "--seed", str(seed),
+                 "--out", str(tmp_path / "run")]) == 0
+    out, err = capsys.readouterr()
+    lines = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(lines) == (1 if warned else 0)
+    assert ("epsilon=0 " in out) == warned
+    if warned:
+        assert "derived margin is 0 at 15 + 15 observations" in lines[0]
+        assert "passes only if the marker significantly beats the response" in lines[0]
+
+
+def test_evaluate_warns_on_stderr_when_the_derived_margin_is_zero(tmp_path, capsys):
+    # a response with no treatment effect leaves no room for a margin
+    rng = np.random.default_rng(5)
+    data = Dataset.unpaired(rng.normal(size=12), rng.normal(size=10), rng.normal(size=(12, 1)),
+                            rng.normal(size=(10, 1)), names=["m"])
+    resp, cand, weights = (str(tmp_path / name) for name in ("r.csv", "c.csv", "w.csv"))
+    write_dataset(data, resp, cand)
+    write_table(weights, ("name", "weight"), [{"name": "m", "weight": 1.0}])
+    assert main(["evaluate", *base(resp, cand), "--weights", weights]) == 0
+    out, err = capsys.readouterr()
+    assert "epsilon=0 " in out
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "derived margin is 0 at 12 + 10 observations" in warnings[0]
+    assert main(["evaluate", *base(resp, cand), "--weights", weights, "--mode", "tost"]) == 0
+    assert "so the test cannot pass" in capsys.readouterr().err
+    assert main(["evaluate", *base(resp, cand), "--weights", weights, "--epsilon", "0.1"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
+def test_simulate_does_not_take_epsilon_for_epsilon_mode(tmp_path, capsys):
+    assert main(["simulate", "--epsilon", "0.02", "--n-sim", "2",
+                 "--out", str(tmp_path / "sim.csv")]) == 1
+    assert "unrecognized arguments: --epsilon 0.02" in capsys.readouterr().err
+    # full flag names, from the command line or a config file, still work
+    config = tmp_path / "sim.cfg"
+    config.write_text("epsilon_mode=adaptive\nn_sim=2\np_total=5\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["simulate", "--epsilon-mode", "adaptive", "--n-sim", "2", "--p-total", "5",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_evaluate_subcommand_uses_weights_file(files, capsys):
     tmp_path, resp, cand = files
     weights = tmp_path / "w.csv"

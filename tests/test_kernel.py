@@ -15,7 +15,7 @@ from hypothesis import given
 from surrank import pipeline
 from surrank.inference import TestConfig, surrogate_test
 from surrank.pipeline import Dataset, screen
-from surrank.rankstats import _Design, g_kernel, u_statistic
+from surrank.rankstats import _Design, _Workspace, g_kernel, u_statistic
 
 
 @st.composite
@@ -137,10 +137,12 @@ def test_increasing_transforms_leave_screen_unchanged(data):
     assert screen(transformed, TestConfig()) == screen(data, TestConfig())
 
 
-def blocks(data):
-    """The kernel blocks ``screen`` builds: the response, then every candidate."""
-    return (np.column_stack([data.response_a, data.candidates_a]),
-            np.column_stack([data.response_b, data.candidates_b]))
+def placements(data):
+    """The kernel over the pooled block ``screen`` builds: the response, then every candidate."""
+    pooled = np.hstack([np.column_stack([data.response_a, data.candidates_a]).T,
+                        np.column_stack([data.response_b, data.candidates_b]).T])
+    kernel = _Design.named(data.design).kernel
+    return kernel(pooled, data.n_a, _Workspace(*pooled.shape), pooled.shape[0])
 
 
 @given(studies(), st.randoms(use_true_random=False))
@@ -152,8 +154,7 @@ def test_permuting_subjects_moves_their_counts_and_keeps_every_row(data, random)
     moved = Dataset(data.design, data.response_a[perm_a], data.response_b[perm_b],
                     data.candidates_a[perm_a], data.candidates_b[perm_b], data.names,
                     [data.ids_a[i] for i in perm_a], [data.ids_b[i] for i in perm_b])
-    kernel = _Design.named(data.design).kernel
-    before, after = kernel(*blocks(data)), kernel(*blocks(moved))
+    before, after = placements(data), placements(moved)
     for side_before, side_after, perm in zip(before.counts, after.counts, (perm_a, perm_b)):
         assert np.array_equal(side_after, side_before[:, perm])
     assert np.array_equal(after.ties, before.ties)
@@ -187,14 +188,14 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("treated, control", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_kernel_counts_equal_brute_force_on_edge_cases(treated, control):
-    # the case column, then its reverse, so the second row's offsets are checked too
-    a = np.column_stack([treated, treated[::-1]])
-    b = np.column_stack([control, control[::-1]])
-    placements = _Design.named("unpaired").kernel(a, b)
-    treated_counts, control_counts = placements.counts
+    # the case, then its reverse, so the second row's offsets are checked too
+    pooled = np.array([treated + control, treated[::-1] + control[::-1]])
+    n_a = len(treated)
+    result = _Design.named("unpaired").kernel(pooled, n_a, _Workspace(*pooled.shape), 2)
+    treated_counts, control_counts = result.counts
     for row in range(2):
-        x, y = a[:, row], b[:, row]
-        assert treated_counts[row].tolist() == [sum(g_kernel(t, c) for c in y) for t in x]
-        assert control_counts[row].tolist() == [sum(g_kernel(t, c) for t in x) for c in y]
-        assert placements.ties[row] == sum(t == c for t in x for c in y)
-        assert placements.u[row] == brute_force_u("unpaired", x, y)
+        x, y = pooled[row, :n_a], pooled[row, n_a:]
+        assert (treated_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for c in y) for t in x]
+        assert (control_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for t in x) for c in y]
+        assert result.ties[row] == sum(t == c for t in x for c in y)
+        assert result.u[row] == brute_force_u("unpaired", x, y)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -379,3 +380,29 @@ def test_run_pipeline_labels_stage_errors():
     )
     with pytest.raises(NoSurrogatesSelectedError, match="combination stage"):
         run_pipeline(flat, ratio=0.5, seed=0)
+
+
+def test_screen_memory_does_not_grow_with_blocks_beyond_its_outputs():
+    """One workspace serves every block: 4 000 candidates peak no higher than 1 000 plus outputs.
+
+    At 50 + 50 observations a block holds 81 candidates, so the calls run 13
+    and 50 blocks.  Beyond what the returned report holds, the extra
+    candidates may add only the p-long arrays of the test assembly.
+    """
+    def traced(p):
+        rng = np.random.default_rng(3)
+        data = Dataset.unpaired(rng.normal(1.0, 1.0, 50), rng.normal(size=50),
+                                rng.normal(size=(50, p)), rng.normal(size=(50, p)))
+        tracemalloc.start()
+        try:
+            report = screen(data, TestConfig())
+            held, peak = tracemalloc.get_traced_memory()
+            assert len(report.rows) == p
+            return peak, held
+        finally:
+            tracemalloc.stop()
+
+    traced(1_000)  # warm-up: first-call allocations
+    (small_peak, small_held), (large_peak, large_held) = traced(1_000), traced(4_000)
+    # sixteen float64 arrays of p entries at once, and a 64 KiB slack
+    assert large_peak - small_peak <= large_held - small_held + 3_000 * 16 * 8 + 64 * 1024

@@ -4,8 +4,10 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from surrank import pipeline
 from surrank.errors import ConfigurationError
@@ -373,6 +375,26 @@ def test_screening_driver_memory_does_not_grow_with_replicates_beyond_its_result
     assert large - small <= 900 * 2 * 8 + 32 * 1024
 
 
+def test_screening_driver_peak_grows_only_by_its_pvalue_arrays():
+    # p = 100 at 50 + 50 takes two blocks per replicate, each in the call's one workspace
+    cfg = DgpConfig(scenario="ten_pct_valid", n1=50, n0=50, p_total=100)
+
+    def peak(n_sim):
+        tracemalloc.start()
+        try:
+            experiment = run_screening_experiment(cfg, n_sim=n_sim, keep_pvalues=True)
+            assert experiment.raw_pvalues.shape == (n_sim, cfg.p_total)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up: the calibration cache and first-call allocations
+    small, large = peak(20), peak(200)
+    # the raw and adjusted p-values, (n_sim, p) float64 each, and each replicate's
+    # confusion counts, about 200 bytes; the slack covers the cyclic collector's lag
+    assert large - small <= 180 * (2 * cfg.p_total * 8 + 200) + 32 * 1024
+
+
 def per_arm_draw(rng, dgp, n1, n0, p_invalid, p_valid, sigma_valid, sigma_corr):
     """Reference draw of one replicate: each arm's block from its own generator call.
 
@@ -497,6 +519,38 @@ def test_standardized_sum_moments_are_numpy_mean_and_std():
         centred = (values[:, 1:] - means[1:]) / sds[1:]
         assert np.allclose(np.concatenate([gamma_a, gamma_b]), centred.sum(axis=1),
                            rtol=1e-12, atol=1e-12)
+
+
+def test_standardized_sum_flags_a_constant_member_whose_sd_rounds_above_zero():
+    # the pooled mean of seven 0.1s rounds, so their sd comes out near 1e-17, not 0;
+    # the last column's first and last rows agree, but it has spread
+    ends = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0]
+    values = np.column_stack([np.arange(7.0), np.full(7, 0.1), ends])
+    zeros = np.column_stack([np.arange(7.0), np.zeros(7), ends])
+    gamma_a, gamma_b, means, sds, degenerate = weighted_standardized_sum(values[:3], values[3:],
+                                                                         [1.0, 1.0, 1.0])
+    assert np.std(values[:, 1], ddof=1) > 0.0
+    assert (means[1], sds[1]) == (0.1, 0.0) and degenerate.tolist() == [False, True, False]
+    assert (means[2], sds[2]) == pytest.approx((np.mean(ends), np.std(ends, ddof=1)))
+    want_a, want_b, *_ = weighted_standardized_sum(zeros[:3], zeros[3:], [1.0, 1.0, 1.0])
+    assert (gamma_a.tobytes(), gamma_b.tobytes()) == (want_a.tobytes(), want_b.tobytes())
+
+
+@given(rows=st.integers(2, 12), p=st.integers(1, 5), value=st.floats(-1e100, 1e100),
+       seed=st.integers(0, 2**32 - 1))
+def test_constant_member_adds_what_a_column_of_zeros_adds(rows, p, value, seed):
+    rng = np.random.default_rng(seed)
+    column, n_a = int(rng.integers(p)), int(rng.integers(1, rows))
+    values = rng.normal(size=(rows, p)) * rng.uniform(0.1, 10.0, p)
+    weights = rng.uniform(0.5, 2.0, p)
+    values[:, column] = value
+    zeros = values.copy()
+    zeros[:, column] = 0.0
+    got = weighted_standardized_sum(values[:n_a], values[n_a:], weights)
+    want = weighted_standardized_sum(zeros[:n_a], zeros[n_a:], weights)
+    assert got[4][column] and want[4][column] and got[3][column] == 0.0
+    assert got[4].tolist() == want[4].tolist()
+    assert (got[0].tobytes(), got[1].tobytes()) == (want[0].tobytes(), want[1].tobytes())
 
 
 # (config, test config, method, boundary margin): every case spans more than one kernel block

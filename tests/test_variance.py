@@ -5,7 +5,7 @@ from hypothesis import given
 
 from surrank.errors import AlignmentError, InsufficientDataError, InvalidInputError
 from surrank.inference import surrogate_test
-from surrank.rankstats import _DESIGNS, PairedSample, TwoArmSample, _stack, u_statistic
+from surrank.rankstats import _DESIGNS, PairedSample, TwoArmSample, _stack, _Workspace, u_statistic
 from surrank.variance import _gaps, null_u_variance
 
 
@@ -19,9 +19,9 @@ def test_paired_kernel_differences_example():
     # response wins every unit, candidate wins units 2 and 4 -> d = 1,0,1,0
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    design, a, b = _stack(response, candidate)
-    (kernel,) = design.kernel(a, b).counts
-    assert (kernel[0] - kernel[1]).tolist() == [1.0, 0.0, 1.0, 0.0]
+    design, pooled, n_a = _stack(response, candidate)
+    (doubled,) = design.kernel(pooled, n_a, _Workspace(*pooled.shape), 2).counts
+    assert ((doubled[0] - doubled[1]) / 2).tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_paired_variance_example():
@@ -131,16 +131,17 @@ def test_gaps_with_r_response_columns_equal_r_one_response_calls(design, r, n_a,
     rng = np.random.default_rng(seed)
     a = rng.integers(0, levels, (n_a, 2 * r)).astype(float)
     b = rng.integers(0, levels, (n_b, 2 * r)).astype(float)
-    u_y, tie_y, u, sigma = _gaps(spec, a, b, r)
+    pooled = np.hstack([a.T, b.T])  # one variable per row, block a first
+    u_y, tie_y, u, sigma = _gaps(spec, pooled, n_a, r)
     for j in range(r):
-        one = _gaps(spec, a[:, [j, r + j]], b[:, [j, r + j]])
+        one = _gaps(spec, pooled[[j, r + j]], n_a)
         assert [x.tobytes() for x in one] == [x[j:j + 1].tobytes() for x in (u_y, tie_y, u, sigma)]
         response = u_statistic(spec.sample(a[:, j], b[:, j]))
         assert (response.value, response.tie_fraction) == (u_y[j], tie_y[j])
     # one response column, as screen lays out its blocks: every candidate against column 0
-    u_y, tie_y, u, sigma = _gaps(spec, a, b)
+    u_y, tie_y, u, sigma = _gaps(spec, pooled, n_a)
     for j in range(1, 2 * r):
-        one = _gaps(spec, a[:, [0, j]], b[:, [0, j]])
+        one = _gaps(spec, pooled[[0, j]], n_a)
         assert [x.tobytes() for x in one] == [
             x.tobytes() for x in (u_y, tie_y, u[j - 1:j], sigma[j - 1:j])]
 
