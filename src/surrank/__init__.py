@@ -38,7 +38,6 @@ from .pipeline import (
     run_pipeline,
     screen,
     split,
-    weight_floor,
     weighted_standardized_sum,
 )
 from .rankstats import (
@@ -117,7 +116,6 @@ __all__ = [
     "split",
     "surrogate_test",
     "u_statistic",
-    "weight_floor",
     "weighted_standardized_sum",
     "__version__",
 ]

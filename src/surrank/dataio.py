@@ -405,20 +405,19 @@ def _float_rows(labels, block):
         yield [*label, *map(repr, values.tolist())]
 
 
-def write_table(path: str, fieldnames, rows, delimiter: str | None = None) -> None:
-    """Write dict rows as delimited text with full-precision numbers."""
+def write_table(path: str, fieldnames, rows) -> None:
+    """Write dict rows as text delimited by the file extension, with full-precision numbers."""
     _write_rows(path, fieldnames, ([_cell(row[name]) for name in fieldnames] for row in rows),
-                delimiter)
+                None)
 
 
-def read_table(path: str, delimiter: str | None = None):
+def read_table(path: str):
     """Header fields and string-valued dict rows of a delimited file.
 
     A short row maps its missing fields to None; a long row's extra fields
     are dropped.
     """
-    sep = delimiter if delimiter is not None else default_delimiter(path)
-    reader = csv.reader(_read_lines(path), delimiter=sep)
+    reader = csv.reader(_read_lines(path), delimiter=default_delimiter(path))
     header = _header(path, reader)
     padding = [None] * len(header)
     return header, [dict(zip(header, row + padding)) for _, row in _body_rows(path, reader)]
@@ -500,13 +499,12 @@ def screening_rows(report: ScreeningReport):
             for row in _by_evidence(report)]
 
 
-def write_screening_table(report: ScreeningReport, path: str,
-                          delimiter: str | None = None) -> None:
+def write_screening_table(report: ScreeningReport, path: str) -> None:
     ordered = _by_evidence(report)
     _write_rows(path, SCREENING_FIELDS,
                 _float_rows([(row.name,) for row in ordered],
                             [_screening_values(row) for row in ordered]),
-                delimiter)
+                None)
 
 
 def write_selected(report: ScreeningReport, path: str) -> None:
@@ -515,8 +513,7 @@ def write_selected(report: ScreeningReport, path: str) -> None:
             handle.write(name + "\n")
 
 
-def write_weights(combined: CombinedSurrogate, path: str,
-                  delimiter: str | None = None) -> None:
+def write_weights(combined: CombinedSurrogate, path: str) -> None:
     rows = [
         {
             "name": name,
@@ -528,7 +525,7 @@ def write_weights(combined: CombinedSurrogate, path: str,
         for name, weight, (mean, sd) in zip(combined.members, combined.weights,
                                             combined.standardization)
     ]
-    write_table(path, ("name", "weight", "mean", "sd", "degenerate"), rows, delimiter)
+    write_table(path, ("name", "weight", "mean", "sd", "degenerate"), rows)
 
 
 EVALUATION_FIELDS = ("marker", "u_response", "u_marker", "delta", "sigma", "epsilon",
@@ -542,13 +539,11 @@ def evaluation_rows(results: list[tuple[str, SurrogateTestResult]]):
             for label, res in results]
 
 
-def write_evaluation_summary(results: list[tuple[str, SurrogateTestResult]], path: str,
-                             delimiter: str | None = None) -> None:
-    write_table(path, EVALUATION_FIELDS, evaluation_rows(results), delimiter)
+def write_evaluation_summary(results: list[tuple[str, SurrogateTestResult]], path: str) -> None:
+    write_table(path, EVALUATION_FIELDS, evaluation_rows(results))
 
 
-def write_volcano(report: ScreeningReport, path: str,
-                  delimiter: str | None = None) -> None:
+def write_volcano(report: ScreeningReport, path: str) -> None:
     """Effect size against evidence strength for every candidate."""
     delta = np.array([row.delta for row in report.rows], dtype=float)
     with np.errstate(divide="ignore"):
@@ -556,7 +551,7 @@ def write_volcano(report: ScreeningReport, path: str,
     _write_rows(path, ("name", "delta", "neg_log10_adjusted_p"),
                 _float_rows([(row.name,) for row in report.rows],
                             np.column_stack([delta, strength])),
-                delimiter)
+                None)
 
 
 def rank_scatter(response_values: np.ndarray, marker_values: np.ndarray):
@@ -571,8 +566,7 @@ def rank_scatter(response_values: np.ndarray, marker_values: np.ndarray):
     return response_ranks, marker_ranks, rho
 
 
-def write_rank_scatter(ids, blocks, response_values, marker_values, path: str,
-                       delimiter: str | None = None) -> float:
+def write_rank_scatter(ids, blocks, response_values, marker_values, path: str) -> float:
     """Emit per-unit rank pairs; returns the Spearman correlation."""
     response_ranks, marker_ranks, rho = rank_scatter(response_values, marker_values)
     rows = [
@@ -584,7 +578,7 @@ def write_rank_scatter(ids, blocks, response_values, marker_values, path: str,
         }
         for subject, block, r_rank, m_rank in zip(ids, blocks, response_ranks, marker_ranks)
     ]
-    write_table(path, ("subject", "block", "response_rank", "marker_rank"), rows, delimiter)
+    write_table(path, ("subject", "block", "response_rank", "marker_rank"), rows)
     return rho
 
 

@@ -9,10 +9,14 @@ the effect.  The margin can be fixed by the caller or derived from the
 response effect and the study size so that the test retains a target
 power against a completely uninformative candidate.
 
-:func:`_assemble` is the one place the test is put together, for arrays of
-gaps and their margins; :func:`surrogate_test` is the one-column case of
-the path ``screen`` and the evaluation driver take (``_gaps``, ``_margin``,
-``_assemble``).
+Every test of markers against one response runs the same way: the
+screening core (:func:`~surrank.variance._gaps`) gives U, the standard
+error of each gap and which markers are flat, :func:`_margin` gives the
+margin and :func:`_assemble` forms the p-values.  ``_assemble`` is the
+one place p-values are formed, and it gives a flat marker, one value over
+both blocks, p = 1.  :func:`_tests` is that path over a pooled block led
+by one response row; :func:`surrogate_test` is its one-column case, so a
+screening row equals the single test of its column bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigurationError
-from .rankstats import UEstimate, _stack, normal_cdf, normal_quantile
+from .rankstats import UEstimate, _Design, _stack, _Workspace, normal_cdf, normal_quantile
 from .variance import _gaps, null_u_variance
 
 Mode = Literal["noninferiority", "tost"]
@@ -108,31 +112,34 @@ def _margin(design: str, u_response, tie_fraction, n_a: int, n_b: int, config: T
     return np.maximum(0.0, u_response - (0.5 + np.sqrt(var0) * z))
 
 
-def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, boundary: float,
+def _one_sided_p(delta: np.ndarray, sigma: np.ndarray, flat: np.ndarray, boundary: float,
                  upper: bool) -> np.ndarray:
     """P-values for H0: delta >= boundary (``upper``) or delta <= boundary.
 
     Where sigma is zero the estimate is treated as exact, and a value
-    sitting on the boundary cannot count as evidence against H0.
+    sitting on the boundary cannot count as evidence against H0.  A flat
+    marker carries no evidence either way and gets p = 1.
     """
     spread = sigma > 0.0
     z = (delta - boundary) / np.where(spread, sigma, 1.0)
     beyond = delta < boundary if upper else delta > boundary
-    return np.where(spread, normal_cdf(z if upper else -z), np.where(beyond, 0.0, 1.0))
+    p = np.where(spread, normal_cdf(z if upper else -z), np.where(beyond, 0.0, 1.0))
+    return np.where(flat, 1.0, p)
 
 
-def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon, alpha: float,
+def _assemble(delta: np.ndarray, sigma: np.ndarray, flat: np.ndarray, epsilon, alpha: float,
               mode: Mode) -> dict:
-    """The test for arrays of gaps and standard errors, at one margin or one per gap.
+    """The test for arrays of gaps, standard errors and flat flags, at one margin or one per gap.
 
     The confidence interval has level 1 - 2*alpha, matching the decision
     rule: the non-inferiority test rejects exactly when the upper limit
     is below epsilon, and the equivalence test rejects exactly when the
     whole interval lies strictly inside (-epsilon, epsilon), up to the
-    degenerate zero-variance case.
+    degenerate cases.  Those are flat markers (see :func:`_gaps`), which
+    get p = 1 in both one-sided p-values, and gaps with zero standard error.
     """
-    p_upper = _one_sided_p(delta, sigma, epsilon, upper=True)
-    p_lower = _one_sided_p(delta, sigma, -epsilon, upper=False) if mode == "tost" else None
+    p_upper = _one_sided_p(delta, sigma, flat, epsilon, upper=True)
+    p_lower = _one_sided_p(delta, sigma, flat, -epsilon, upper=False) if mode == "tost" else None
     half_width = normal_quantile(1.0 - alpha) * sigma
     return {
         "p_value": p_upper if p_lower is None else np.maximum(p_upper, p_lower),
@@ -140,23 +147,31 @@ def _assemble(delta: np.ndarray, sigma: np.ndarray, epsilon, alpha: float,
         "p_lower": p_lower,
         "ci_lower": delta - half_width,
         "ci_upper": delta + half_width,
+        "degenerate": flat | (sigma == 0.0),
     }
 
 
-def _results(u_response, u_candidate: np.ndarray, sigma: np.ndarray, epsilon,
-             config: TestConfig) -> tuple[SurrogateTestResult, ...]:
-    """One result per candidate, from :func:`_gaps` output and a shared margin."""
-    delta = u_response - u_candidate
-    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
+def _tests(design: _Design, pooled: np.ndarray, n_a: int,
+           config: TestConfig) -> tuple[SurrogateTestResult, ...]:
+    """The test of each candidate row of a pooled block against its response row 0.
+
+    ``pooled`` holds one variable per row, block a's n_a observations
+    first.  All candidates share one margin: ``config.epsilon``, or the one
+    derived from the response effect and the block sizes.
+    """
+    (u_y,), (tie_y,), u, sigma, flat = _gaps(design, pooled, n_a, 1, _Workspace(*pooled.shape))
+    epsilon = _margin(design.name, u_y, tie_y, n_a, pooled.shape[1] - n_a, config)
+    delta = u_y - u
+    test = _assemble(delta, sigma, flat, epsilon, config.alpha, config.mode)
     p_lower = [None] * delta.size if test["p_lower"] is None else test["p_lower"].tolist()
-    u_response, epsilon = np.asarray(u_response).item(), np.asarray(epsilon).item()
+    u_y, epsilon = u_y.item(), np.asarray(epsilon).item()
     return tuple(
-        SurrogateTestResult(u_response, u, d, s, epsilon, config.alpha, config.mode,
-                            p, upper, lower, low, high, s == 0.0)
-        for u, d, s, p, upper, lower, low, high in zip(
-            u_candidate.tolist(), delta.tolist(), sigma.tolist(), test["p_value"].tolist(),
+        SurrogateTestResult(u_y, u_s, d, s, epsilon, config.alpha, config.mode,
+                            p, upper, lower, low, high, degenerate)
+        for u_s, d, s, p, upper, lower, low, high, degenerate in zip(
+            u.tolist(), delta.tolist(), sigma.tolist(), test["p_value"].tolist(),
             test["p_upper"].tolist(), p_lower, test["ci_lower"].tolist(),
-            test["ci_upper"].tolist())
+            test["ci_upper"].tolist(), test["degenerate"].tolist())
     )
 
 
@@ -165,9 +180,8 @@ def surrogate_test(response, candidate, config: TestConfig = TestConfig()) -> Su
 
     Both arguments must be :class:`TwoArmSample` or both
     :class:`PairedSample`.  With ``config.epsilon=None`` the margin is
-    derived from the response effect at the configured power.
+    derived from the response effect at the configured power.  A candidate
+    with one value over both blocks is flat: it gets p = 1 and the
+    degenerate flag, as its row in :func:`~surrank.pipeline.screen` does.
     """
-    design, pooled, n_a = _stack(response, candidate)
-    (u_y,), (tie_y,), u_candidate, sigma = _gaps(design, pooled, n_a)
-    epsilon = _margin(design.name, u_y, tie_y, n_a, pooled.shape[1] - n_a, config)
-    return _results(u_y, u_candidate, sigma, epsilon, config)[0]
+    return _tests(*_stack(response, candidate), config)[0]

@@ -20,7 +20,7 @@ from .errors import (
     NoSurrogatesSelectedError,
     SurrankError,
 )
-from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _results
+from .inference import Mode, SurrogateTestResult, TestConfig, _assemble, _margin, _tests
 from .multitest import Method, adjust
 from .rankstats import (
     Design,
@@ -313,20 +313,23 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
 
     The margin is fixed by ``config.epsilon`` or derived once from the
     response effect; it is shared by all candidates.  ``method=None``
-    skips the multiplicity adjustment (adjusted p equals raw p).
-    Candidates with no spread in either block are uninformative and are
-    reported with p = 1 and the degenerate flag instead of a test.
+    skips the multiplicity adjustment (adjusted p equals raw p).  The
+    test is :func:`~surrank.inference.surrogate_test`'s, so each row equals
+    the single test of its column bit for bit: a flat candidate, one value
+    over both blocks, is uninformative and gets p = 1 and the degenerate flag.
     """
     u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(
         data._design, data.response_a, data.response_b, data.candidates_a, data.candidates_b)
     epsilon = _margin(data.design, u_y, tie_y, data.n_a, data.n_b, config)
-    delta, test, raw, adjusted = _screen_tests(u_y, u_candidate, sigma, flat, epsilon, config,
-                                               method)
+    delta = u_y - u_candidate
+    test = _assemble(delta, sigma, flat, epsilon, config.alpha, config.mode)
+    raw = test["p_value"]
+    adjusted = adjust(raw, method).adjusted if method is not None else raw
     rows = tuple(
         ScreeningRow(*fields)
         for fields in zip(data.names, u_candidate.tolist(), delta.tolist(), sigma.tolist(),
                           test["ci_lower"].tolist(), test["ci_upper"].tolist(),
-                          raw.tolist(), adjusted.tolist(), (flat | (sigma == 0.0)).tolist())
+                          raw.tolist(), adjusted.tolist(), test["degenerate"].tolist())
     )
     hits = [row for row in rows if row.adjusted_p < config.alpha]
     hits.sort(key=lambda row: (row.adjusted_p, abs(row.delta), row.name))
@@ -357,49 +360,29 @@ def _screen_workspace(design: _Design, n_a: int, n_b: int, p: int) -> _Workspace
 def _screen_gaps(design: _Design, response_a: np.ndarray, response_b: np.ndarray,
                  candidates_a: np.ndarray, candidates_b: np.ndarray,
                  work: _Workspace | None = None):
-    """U_y, its tie fraction, each candidate's U, the standard error of its gap and its flat flag.
+    """U_y, its tie fraction and each candidate's U, gap SE and flat flag, by :func:`_gaps`.
 
     Writes the response into row 0 of ``work`` (a :func:`_screen_workspace`
     made for this call when not given) and each block of candidate columns,
     transposed, into the rows below it, then runs :func:`_gaps` over the
     pooled block, so every block reuses the same buffers.  No candidate's
     arithmetic depends on the block that holds it, so the results do not
-    depend on the width.  A candidate is flat when it has no spread in
-    either block.
+    depend on the width.
     """
     (n_a, p), n_b = candidates_a.shape, response_b.size
     if work is None:
         work = _screen_workspace(design, n_a, n_b, p)
     pooled, width = work.pooled, work.pooled.shape[0] - 1
     pooled[0, :n_a], pooled[0, n_a:] = response_a, response_b
-    u, sigma = np.empty(p), np.empty(p)
+    u, sigma, flat = np.empty(p), np.empty(p), np.empty(p, dtype=bool)
     for start in range(0, p, width):
         stop = min(start + width, p)
         block = pooled[:stop - start + 1]
         block[1:, :n_a] = candidates_a[:, start:stop].T
         block[1:, n_a:] = candidates_b[:, start:stop].T
-        (u_y,), (tie_y,), u[start:stop], sigma[start:stop] = _gaps(design, block, n_a, 1, work)
-    flat = (np.ptp(candidates_a, axis=0) == 0.0) & (np.ptp(candidates_b, axis=0) == 0.0)
+        (u_y,), (tie_y,), u[start:stop], sigma[start:stop], flat[start:stop] = _gaps(
+            design, block, n_a, 1, work)
     return u_y, tie_y, u, sigma, flat
-
-
-def _screen_tests(u_y, u_candidate: np.ndarray, sigma: np.ndarray, flat: np.ndarray,
-                  epsilon: float, config: TestConfig, method: Method | None):
-    """Gaps, :func:`_assemble` output, raw p and adjusted p at one shared margin.
-
-    Flat candidates are uninformative and get raw p = 1.  ``method=None``
-    leaves the adjusted p equal to the raw p.
-    """
-    delta = u_y - u_candidate
-    test = _assemble(delta, sigma, epsilon, config.alpha, config.mode)
-    raw = np.where(flat, 1.0, test["p_value"])
-    adjusted = adjust(raw, method).adjusted if method is not None else raw
-    return delta, test, raw, adjusted
-
-
-def weight_floor(design: Design, n_a: int, n_b: int) -> float:
-    """Smallest gap magnitude distinguishable from zero on the estimate grid."""
-    return _Design.named(design).weight_floor(n_a, n_b)
 
 
 def weighted_standardized_sum(values_a: np.ndarray, values_b: np.ndarray, weights):
@@ -484,7 +467,7 @@ def combine(data: Dataset, report: ScreeningReport):
     if missing:
         raise AlignmentError(f"selected candidates absent from dataset: {missing}")
 
-    floor = weight_floor(report.design, report.n_a, report.n_b)
+    floor = _Design.named(report.design).weight_floor(report.n_a, report.n_b)
     weights = np.array(
         [1.0 / max(abs(report.row(name).delta), floor) for name in report.selected]
     )
@@ -504,22 +487,23 @@ def evaluate(data: Dataset, gamma, config: TestConfig = TestConfig()) -> Surroga
     """Test a combined marker against the response on the evaluation split.
 
     With ``config.epsilon=None`` the margin is re-derived from this
-    split's own response effect and size.
+    split's own response effect and size.  It is ``surrogate_test`` of the
+    response against ``gamma``, flat rule included.
     """
     return _evaluation(data, gamma, (), config)[0]
 
 
 def _evaluation(data: Dataset, gamma, selected, config: TestConfig):
-    """The combined marker's test, then its first members' at its margin, in one kernel pass."""
+    """The combined marker's test, then its first members' at its margin, in one kernel pass.
+
+    The response, ``gamma`` and the members are the rows of one pooled
+    block, tested by :func:`~surrank.inference._tests`.
+    """
     members = selected[:_TOP_MARKERS]
     cols = [data._column(name) for name in members]
     design, pair, n_a = _stack(data.response_sample(), gamma)
-    u_y, tie_y, u, sigma, _ = _screen_gaps(
-        design, pair[0, :n_a], pair[0, n_a:],
-        np.column_stack([pair[1, :n_a], data.candidates_a[:, cols]]),
-        np.column_stack([pair[1, n_a:], data.candidates_b[:, cols]]))
-    epsilon = _margin(design.name, u_y, tie_y, data.n_a, data.n_b, config)
-    evaluation, *tests = _results(u_y, u, sigma, epsilon, config)
+    columns = np.concatenate([data.candidates_a[:, cols], data.candidates_b[:, cols]])
+    evaluation, *tests = _tests(design, np.concatenate([pair, columns.T]), n_a, config)
     return evaluation, tuple(zip(members, tests))
 
 

@@ -24,15 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .inference import TestConfig, _assemble, _margin
-from .multitest import Method
-from .pipeline import (
-    _BLOCK_BYTES,
-    Dataset,
-    _screen_gaps,
-    _screen_tests,
-    _screen_workspace,
-    _standardized_sum,
-)
+from .multitest import Method, adjust
+from .pipeline import _BLOCK_BYTES, Dataset, _screen_gaps, _screen_workspace, _standardized_sum
 from .rankstats import _DESIGNS, _Workspace, normal_cdf, normal_quantile
 from .variance import _gaps
 
@@ -369,8 +362,9 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
     an independent stream derived from ``cfg.seed``, as :func:`generate`
     would, and runs the core of :func:`~surrank.pipeline.screen` on the
     drawn arrays, in one workspace made for the call and reused by every
-    replicate, so its raw p-values and selected set are bit for bit those
-    of ``screen(generate(cfg, rng).dataset, ...)``.  A candidate is
+    replicate, then the same test assembly and adjustment, so its raw
+    p-values and selected set are bit for bit those of
+    ``screen(generate(cfg, rng).dataset, ...)``.  A candidate is
     selected when its adjusted p is below ``test_config.alpha``.
     """
     if n_sim < 1:
@@ -387,9 +381,10 @@ def run_screening_experiment(cfg: DgpConfig, test_config: TestConfig = TestConfi
                       cfg.sigma_corr, y, candidates, scratch)
         u_y, tie_y, u_candidate, sigma, flat = _screen_gaps(design, *drawn, work)
         epsilon = (max(0.0, u_y - 0.5) if boundary_epsilon
-                   else _margin("unpaired", u_y, tie_y, cfg.n1, cfg.n0, test_config))
-        _, _, raw[i], adjusted[i] = _screen_tests(u_y, u_candidate, sigma, flat, epsilon,
-                                                  test_config, method)
+                   else _margin(design.name, u_y, tie_y, cfg.n1, cfg.n0, test_config))
+        raw[i] = _assemble(u_y - u_candidate, sigma, flat, epsilon, test_config.alpha,
+                           test_config.mode)["p_value"]
+        adjusted[i] = adjust(raw[i], method).adjusted if method is not None else raw[i]
     valid = np.arange(cfg.p_total) >= cfg.p_invalid
     return ScreeningExperiment(metrics=_confusion(adjusted < test_config.alpha, valid),
                                raw_pvalues=raw if keep_pvalues else None)
@@ -426,7 +421,9 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
     buffers allocated once per call, standardizes them together and
     writes each cell's response and combined marker as two rows of the
     pooled block of one screening-core workspace, made once per call;
-    each block of cells is tested with one screening-core call in it.
+    each block of cells is tested with one screening-core call in it,
+    whose gaps and flat flags go to the test assembly ``surrogate_test``
+    uses, so each p-value is the cell's by construction.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
     if n < 2:
@@ -465,9 +462,9 @@ def run_evaluation_experiment(n: int = 50, valid_strength: float = 0.9, set_size
                                   block[m + j - (g - first):m + j])
                 first = g
             if j == m:
-                u_y, tie_y, u, sigma = _gaps(design, block[:2 * m], n, m, work)
+                u_y, tie_y, u, sigma, flat = _gaps(design, block[:2 * m], n, m, work)
                 epsilon = _margin(design.name, u_y, tie_y, n, n, config)
-                test = _assemble(u_y - u, sigma, epsilon, config.alpha, config.mode)
+                test = _assemble(u_y - u, sigma, flat, epsilon, config.alpha, config.mode)
                 pvalues.T.flat[start:start + m] = test["p_value"]  # cell order: replicate, rho
                 start, j = start + m, 0
                 m = min(width, pvalues.size - start)

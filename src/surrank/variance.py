@@ -3,14 +3,15 @@
 The response and a candidate are measured on the same units, so their U
 estimates are correlated.  :func:`_gaps` runs the design's kernel once
 over a pooled block led by ``r`` response rows (one, or one per
-candidate) and returns U and the standard error of each gap; every test
-runs on it.  It works in place in a workspace that its caller can reuse
-for every block, taking ``np.var``'s own operations, and no row's result
-depends on the block that holds it.  The unpaired variance projects each
-U onto per-observation structural components (an observation's mean
-kernel value against the other arm) and takes the empirical variance of
-the componentwise differences, so cross terms are handled automatically;
-the paired one is the variance of the per-unit kernel differences.
+candidate) and returns U, the standard error of each gap and which
+candidates are flat; every test runs on it.  It works in place in a
+workspace that its caller can reuse for every block, taking ``np.var``'s
+own operations, and no row's result depends on the block that holds it.
+The unpaired variance projects each U onto per-observation structural
+components (an observation's mean kernel value against the other arm)
+and takes the empirical variance of the componentwise differences, so
+cross terms are handled automatically; the paired one is the variance of
+the per-unit kernel differences.
 """
 
 from __future__ import annotations
@@ -21,26 +22,28 @@ from .errors import InsufficientDataError, InvalidInputError
 from .rankstats import Design, _Design, _Workspace
 
 
-def _gaps(design: _Design, pooled: np.ndarray, n_a: int, r: int = 1,
-          work: _Workspace | None = None
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U_y and its tie fraction per response, the candidates' U and their gaps' SEs.
+def _gaps(design: _Design, pooled: np.ndarray, n_a: int, r: int, work: _Workspace
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U_y and its tie fraction per response, the candidates' U, their gaps' SEs and flat flags.
 
     ``pooled`` is a ``(k, n_a + n_b)`` block, one variable per row with block
     a's n_a observations first.  Rows 0..r-1 are responses and the rest
     candidates, all against response 0 (r = 1) or candidate j against
     response j (k = 2r).  The kernel and the variance work in ``work``, a
-    workspace for at least the block (one for this block alone when not
-    given).  Each side's structural components are the kernel sums over the
-    partner count; a side adds var(response - candidate components, ddof=1)
-    over its observation count to Var(delta).  The paired design has one side.
+    workspace for at least the block.  Each side's structural components
+    are the kernel sums over the partner count; a side adds var(response -
+    candidate components, ddof=1) over its observation count to Var(delta).
+    The paired design has one side.  A candidate is flat when it takes one
+    value over both blocks, so its U is 1/2 from ties alone; this is the one
+    place flatness is decided.
     """
     k, n = pooled.shape
     smallest = min(n_a, n - n_a)
     if smallest < 2:
         label = "units" if design.shared_units else "observations per arm"
         raise InsufficientDataError(f"need at least 2 {label}, got {smallest}")
-    placements = design.kernel(pooled, n_a, _Workspace(k, n) if work is None else work, r)
+    flat = np.ptp(pooled[r:], axis=1) == 0.0
+    placements = design.kernel(pooled, n_a, work, r)
     u, variance = placements.u, 0.0
     for counts, partners, size in zip(placements.counts, placements.partners,
                                       placements.sizes):
@@ -48,7 +51,8 @@ def _gaps(design: _Design, pooled: np.ndarray, n_a: int, r: int = 1,
         components = np.divide(counts, 2 * partners, out=counts)
         gaps = np.subtract(components[:r], components[r:], out=components[r:])
         variance = variance + _row_variances(gaps) / size
-    return u[:r], placements.ties / placements.comparisons, u[r:], np.sqrt(variance)
+    return (u[:r], placements.ties / placements.comparisons, u[r:], np.sqrt(variance),
+            flat)
 
 
 def _row_variances(rows: np.ndarray) -> np.ndarray:

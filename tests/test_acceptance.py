@@ -221,7 +221,8 @@ def test_criterion_07_equivalence_test_matches_interval_inclusion():
         alpha = float(rng.uniform(0.01, 0.2))
         # the gap between a response U and a candidate U either side of 1/2
         gap = (0.5 + delta / 2.0) - (0.5 - delta / 2.0)
-        res = _assemble(np.array([gap]), np.array([sigma]), epsilon, alpha, "tost")
+        res = _assemble(np.array([gap]), np.array([sigma]), np.array([False]), epsilon, alpha,
+                        "tost")
         by_p = res["p_value"][0] < alpha
         by_ci = -epsilon < res["ci_lower"][0] and res["ci_upper"][0] < epsilon
         counterexamples += by_p != by_ci

@@ -183,6 +183,18 @@ def test_evaluate_warns_on_stderr_when_the_derived_margin_is_zero(tmp_path, caps
     assert "warning:" not in capsys.readouterr().err
 
 
+def test_evaluate_does_not_pass_a_constant_combination(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    data = Dataset.unpaired(rng.normal(1, 1, 100), rng.normal(0, 1, 100),
+                            np.full((100, 1), 2.0), np.full((100, 1), 2.0), names=["constant"])
+    resp, cand, weights = (str(tmp_path / name) for name in ("r.csv", "c.csv", "w.csv"))
+    write_dataset(data, resp, cand)
+    write_table(weights, ("name", "weight"), [{"name": "constant", "weight": 1.0}])
+    assert main(["evaluate", *base(resp, cand), "--weights", weights, "--epsilon", "0.4"]) == 0
+    out = capsys.readouterr().out
+    assert "u_marker=0.5 " in out and "p=1 (no rejection)" in out
+
+
 def test_simulate_does_not_take_epsilon_for_epsilon_mode(tmp_path, capsys):
     assert main(["simulate", "--epsilon", "0.02", "--n-sim", "2",
                  "--out", str(tmp_path / "sim.csv")]) == 1

@@ -5,13 +5,22 @@ from hypothesis import given
 
 from surrank.errors import AlignmentError, ConfigurationError, InvalidInputError
 from surrank.inference import TestConfig, _assemble, select_epsilon, surrogate_test
-from surrank.rankstats import PairedSample, TwoArmSample, UEstimate, _stack, u_statistic
+from surrank.rankstats import (
+    PairedSample,
+    TwoArmSample,
+    UEstimate,
+    _stack,
+    _Workspace,
+    u_statistic,
+)
 from surrank.variance import _gaps
 
 
 def assemble(delta, sigma, epsilon, alpha=0.05, mode="noninferiority"):
-    """:func:`_assemble` on one gap, with scalar results."""
-    test = _assemble(np.array([delta]), np.array([sigma]), epsilon, alpha, mode)
+    """:func:`_assemble` on one gap of a marker that is not flat, with scalar p-values and CI."""
+    test = _assemble(np.array([delta]), np.array([sigma]), np.array([False]), epsilon, alpha,
+                     mode)
+    del test["degenerate"]
     return {key: None if value is None else float(value[0]) for key, value in test.items()}
 
 
@@ -124,7 +133,7 @@ def test_assembled_rejection_is_interval_inclusion(gaps, epsilon, alpha, mode):
     on = {"upper": epsilon, "lower": -epsilon}
     delta = np.array([on.get(where, value) for value, where, _ in gaps])
     sigma = np.array([sd for _, _, sd in gaps])
-    test = _assemble(delta, sigma, epsilon, alpha, mode)
+    test = _assemble(delta, sigma, np.zeros(delta.size, dtype=bool), epsilon, alpha, mode)
     inside = test["ci_upper"] < epsilon
     if mode == "tost":
         inside &= -epsilon < test["ci_lower"]
@@ -141,7 +150,8 @@ def test_surrogate_test_matches_manual_assembly():
     res = surrogate_test(response, candidate, TestConfig(epsilon=0.15))
     u_y = u_statistic(response).value
     u_s = u_statistic(candidate).value
-    *_, sigma = _gaps(*_stack(response, candidate))
+    design, pooled, n_a = _stack(response, candidate)
+    *_, sigma, _ = _gaps(design, pooled, n_a, 1, _Workspace(*pooled.shape))
     manual = assemble(u_y - u_s, float(sigma[0]), epsilon=0.15)
     assert (res.u_response, res.u_candidate, res.delta, res.sigma, res.epsilon) == (
         u_y, u_s, u_y - u_s, sigma[0], 0.15)

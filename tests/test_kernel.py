@@ -77,11 +77,9 @@ def assert_rows_match_single_tests(data, report, config):
         single = surrogate_test(data.response_sample(), data.candidate_sample(row.name),
                                 TestConfig(alpha=config.alpha, epsilon=report.epsilon_used,
                                            mode=config.mode))
-        flat = np.ptp(data.candidates_a[:, j]) == 0.0 and np.ptp(data.candidates_b[:, j]) == 0.0
         assert (row.u_candidate, row.delta, row.sigma, row.ci_lower, row.ci_upper) == (
             single.u_candidate, single.delta, single.sigma, single.ci_lower, single.ci_upper)
-        assert row.raw_p == (1.0 if flat else single.p_value)
-        assert row.degenerate == (flat or single.degenerate)
+        assert (row.raw_p, row.degenerate) == (single.p_value, single.degenerate)
 
 
 @given(studies(), st.integers(1, 4), st.sampled_from(["noninferiority", "tost"]))
@@ -105,6 +103,20 @@ def assert_rows_match_single_tests_across_blocks(design, n_a, n_b):
         rng.integers(0, 5, (n_a, p)).astype(float), rng.integers(0, 5, (n_b, p)).astype(float))
     config = TestConfig(mode="tost")
     assert_rows_match_single_tests(data, screen(data, config, method=None), config)
+
+
+@pytest.mark.parametrize("mode", ["noninferiority", "tost"])
+def test_perfect_binary_separator_row_equals_its_single_test(mode):
+    # constant within each arm but not over both: informative, so tested like any marker
+    rng = np.random.default_rng(30)
+    data = Dataset.unpaired(rng.normal(2.0, 1.0, 30), rng.normal(0.0, 1.0, 30),
+                            np.ones((30, 1)), np.zeros((30, 1)), names=["separator"])
+    config = TestConfig(mode=mode)
+    report = screen(data, config, method=None)
+    (row,) = report.rows
+    assert (row.u_candidate, row.degenerate) == (1.0, False)
+    assert row.raw_p < 1e-6
+    assert_rows_match_single_tests(data, report, config)
 
 
 def test_screen_rows_equal_single_marker_tests_across_chunks():

@@ -22,10 +22,9 @@ from surrank.pipeline import (
     run_pipeline,
     screen,
     split,
-    weight_floor,
     weighted_standardized_sum,
 )
-from surrank.rankstats import PairedSample, TwoArmSample, u_statistic
+from surrank.rankstats import PairedSample, TwoArmSample, _Design, u_statistic
 
 
 def make_unpaired(n1=40, n0=35, n_valid=3, n_noise=4, seed=0, noise_sd=0.8):
@@ -156,6 +155,25 @@ def test_screen_flags_flat_candidates():
     assert "flat" not in report.selected
 
 
+def test_constant_candidate_fails_the_single_test_and_evaluation():
+    # U = 1/2 from ties alone sits within a wide margin of a modest response effect,
+    # but a constant carries no evidence: p = 1 in every test, as in screen
+    rng = np.random.default_rng(9)
+    data = Dataset.unpaired(rng.normal(1, 1, 100), rng.normal(0, 1, 100),
+                            np.full((100, 1), 2.0), np.full((100, 1), 2.0), names=["constant"])
+    config = TestConfig(epsilon=0.4)
+    combined, gamma = combine(data, manual_report("unpaired", ["constant"], [0.1], 100, 100))
+    assert combined.degenerate_members == ("constant",)
+    for result in (surrogate_test(data.response_sample(), data.candidate_sample("constant"),
+                                  config),
+                   evaluate(data, gamma, config)):
+        assert result.delta < 0.4 - 3 * result.sigma  # well inside the margin
+        assert (result.p_value, result.p_upper, result.degenerate) == (1.0, 1.0, True)
+        assert not result.reject
+    row = screen(data, config).row("constant")
+    assert (row.raw_p, row.degenerate) == (1.0, True)
+
+
 def test_screen_needs_two_observations_per_block():
     unpaired = Dataset.unpaired([1.0], [0.0, 2.0], [[1.0, 3.0]], [[0.0, 1.0], [2.0, 2.0]])
     with pytest.raises(InsufficientDataError):
@@ -194,8 +212,8 @@ def test_selection_monotone_in_fixed_epsilon():
 
 
 def test_weight_floor_values():
-    assert weight_floor("unpaired", 25, 20) == 1.0 / 1000.0
-    assert weight_floor("paired", 26, 26) == 1.0 / 104.0
+    assert _Design.named("unpaired").weight_floor(25, 20) == 1.0 / 1000.0
+    assert _Design.named("paired").weight_floor(26, 26) == 1.0 / 104.0
 
 
 def manual_report(design, names, deltas, n_a, n_b):

@@ -11,7 +11,8 @@ from surrank.variance import _gaps, null_u_variance
 
 def gap_sd(response, candidate) -> float:
     """The screening core's standard error of U_response - U_candidate."""
-    *_, sigma = _gaps(*_stack(response, candidate))
+    design, pooled, n_a = _stack(response, candidate)
+    _, _, _, sigma, _ = _gaps(design, pooled, n_a, 1, _Workspace(*pooled.shape))
     return float(sigma[0])
 
 
@@ -28,7 +29,9 @@ def test_paired_variance_example():
     # var(d, ddof=1) = 1/3 over n=4 units -> variance 1/12
     response = PairedSample(post=[2.0, 2.0, 2.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
     candidate = PairedSample(post=[0.0, 2.0, 0.0, 2.0], pre=[1.0, 1.0, 1.0, 1.0])
-    u_y, tie_y, _, sigma = _gaps(*_stack(response, candidate))
+    design, pooled, n_a = _stack(response, candidate)
+    u_y, tie_y, _, sigma, flat = _gaps(design, pooled, n_a, 1, _Workspace(*pooled.shape))
+    assert not flat[0]
     assert sigma[0] ** 2 == pytest.approx(1.0 / 12.0, rel=1e-15)
     assert sigma[0] == pytest.approx(np.sqrt(1.0 / 12.0), rel=1e-15)
     assert (u_y.tolist(), tie_y.tolist()) == ([1.0], [0.0])
@@ -132,18 +135,26 @@ def test_gaps_with_r_response_columns_equal_r_one_response_calls(design, r, n_a,
     a = rng.integers(0, levels, (n_a, 2 * r)).astype(float)
     b = rng.integers(0, levels, (n_b, 2 * r)).astype(float)
     pooled = np.hstack([a.T, b.T])  # one variable per row, block a first
-    u_y, tie_y, u, sigma = _gaps(spec, pooled, n_a, r)
+
+    def gaps(rows, r):
+        return _gaps(spec, rows, n_a, r, _Workspace(*rows.shape))
+
+    u_y, tie_y, u, sigma, flat = gaps(pooled, r)
+    # flat: one value over both blocks, so U = 1/2 from ties alone
+    assert flat.tolist() == [len(set(column)) == 1 for column in pooled[r:].tolist()]
+    assert np.all(u[flat] == 0.5)
     for j in range(r):
-        one = _gaps(spec, pooled[[j, r + j]], n_a)
-        assert [x.tobytes() for x in one] == [x[j:j + 1].tobytes() for x in (u_y, tie_y, u, sigma)]
+        one = gaps(pooled[[j, r + j]], 1)
+        assert [x.tobytes() for x in one] == [
+            x[j:j + 1].tobytes() for x in (u_y, tie_y, u, sigma, flat)]
         response = u_statistic(spec.sample(a[:, j], b[:, j]))
         assert (response.value, response.tie_fraction) == (u_y[j], tie_y[j])
     # one response column, as screen lays out its blocks: every candidate against column 0
-    u_y, tie_y, u, sigma = _gaps(spec, pooled, n_a)
+    u_y, tie_y, u, sigma, flat = gaps(pooled, 1)
     for j in range(1, 2 * r):
-        one = _gaps(spec, pooled[[0, j]], n_a)
+        one = gaps(pooled[[0, j]], 1)
         assert [x.tobytes() for x in one] == [
-            x.tobytes() for x in (u_y, tie_y, u[j - 1:j], sigma[j - 1:j])]
+            x.tobytes() for x in (u_y, tie_y, u[j - 1:j], sigma[j - 1:j], flat[j - 1:j])]
 
 
 def test_null_variance_takes_arrays_of_tie_fractions():
