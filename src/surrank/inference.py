@@ -57,6 +57,7 @@ class TestConfig:
         if self.epsilon is not None:
             if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
                 raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon}")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.mode not in ("noninferiority", "tost"):
             raise ConfigurationError(f"mode must be 'noninferiority' or 'tost', got {self.mode!r}")
 
@@ -164,7 +165,7 @@ def _tests(design: _Design, pooled: np.ndarray, n_a: int,
     delta = u_y - u
     test = _assemble(delta, sigma, flat, epsilon, config.alpha, config.mode)
     p_lower = [None] * delta.size if test["p_lower"] is None else test["p_lower"].tolist()
-    u_y, epsilon = u_y.item(), np.asarray(epsilon).item()
+    u_y, epsilon = u_y.item(), float(epsilon)
     return tuple(
         SurrogateTestResult(u_y, u_s, d, s, epsilon, config.alpha, config.mode,
                             p, upper, lower, low, high, degenerate)

@@ -31,7 +31,7 @@ from .rankstats import (
     _stack,
     _Workspace,
 )
-from .variance import _gaps
+from .variance import _flat, _gaps
 
 # Bytes of the kernel's largest float64 temporary allowed per block in `_screen_gaps`;
 # the design's `column_bytes` gives its size per candidate column, 8 * (n_a + n_b)
@@ -416,11 +416,8 @@ def _standardized_sum(pooled: np.ndarray, n_a: int, weights, out: np.ndarray):
     """
     rows = pooled.shape[-2]
     # A flat member's mean is its value, which the rounded sum can miss (seven rows of
-    # 0.1 would get an sd of 1.5e-17); with it, its deviations and sd are 0.  Only a
-    # column whose first and last rows agree can be flat, so only those get the full
-    # check, which over all columns would cost a third of the call.
-    flat = pooled[..., 0, :] == pooled[..., -1, :]
-    flat[flat] = np.ptp(np.swapaxes(pooled, -1, -2)[flat], axis=-1) == 0.0
+    # 0.1 would get an sd of 1.5e-17); with it, its deviations and sd are 0.
+    flat = _flat(np.swapaxes(pooled, -1, -2))
     means = np.add.reduce(pooled, axis=-2)
     means /= rows
     np.copyto(means, pooled[..., 0, :], where=flat)

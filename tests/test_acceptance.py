@@ -148,8 +148,7 @@ def test_criterion_02_analytic_sigma_tracks_bootstrap_sd():
 
 def test_criterion_03_null_raw_p_values_are_uniform():
     cfg = DgpConfig(scenario="none_valid", n1=50, n0=50, p_total=5, seed=30003)
-    experiment = run_screening_experiment(cfg, method=None, n_sim=1000,
-                                          keep_pvalues=True)
+    experiment = run_screening_experiment(cfg, method=None, n_sim=1000)
     flat = experiment.raw_pvalues.ravel()
     ks = float(kstest(flat, "uniform").statistic)
     critical = float(kstwobign.isf(0.01)) / math.sqrt(flat.size)

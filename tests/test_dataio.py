@@ -587,6 +587,16 @@ def test_evaluation_summary_lists_markers_with_metrics(tmp_path):
     assert rows[0]["reject"] in ("true", "false")
 
 
+def test_evaluation_summary_writes_a_whole_number_margin_as_a_float(tmp_path):
+    response = awkward_dataset("unpaired").response_sample()
+    marker = awkward_dataset("unpaired").candidate_sample("geneA")
+    res = surrogate_test(response, marker, TestConfig(epsilon=0))
+    assert type(res.epsilon) is float
+    path = tmp_path / "eval.csv"
+    write_evaluation_summary([("gamma", res)], str(path))
+    assert read_table(str(path))[1][0]["epsilon"] == "0.0"
+
+
 def test_volcano_data_handles_zero_adjusted_p(tmp_path):
     rows = (
         ScreeningRow(name="g1", u_candidate=0.9, delta=0.05, sigma=0.02,

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.integrate import dblquad
+from scipy.special import ndtr
 
 from surrank import pipeline
 from surrank.errors import ConfigurationError
@@ -136,9 +138,33 @@ def test_evaluation_driver_rejects_an_unknown_process(no_draws):
 def test_monte_carlo_strength_needs_a_draw(no_draws, n_draws):
     with pytest.raises(ConfigurationError, match="n_draws must be >= 1"):
         estimate_valid_strength("normal", 0.5, n_draws=n_draws)
-    for dgp in ("normal", "complex"):
-        with pytest.raises(ConfigurationError, match="n_draws must be >= 1"):
-            calibrate_sigma_valid(dgp, 0.9, n_draws=n_draws)
+
+
+def test_complex_calibration_is_deterministic_and_draws_nothing(no_draws):
+    assert calibrate_sigma_valid("complex", 0.9) == pytest.approx(8.78301, abs=1e-5)
+
+
+def test_complex_calibration_agrees_with_an_adaptive_double_integral():
+    sigma = calibrate_sigma_valid("complex", 0.9)
+
+    def integrand(y0, y1):
+        density = np.exp(-0.5 * ((y1 - 3.0) ** 2 + y0**2)) / (2.0 * np.pi)
+        return density * ndtr((y1**3 - y0**3) / (sigma * np.sqrt(2.0)))
+
+    # eight standard deviations each way leave out less than 1e-14 of the mass
+    strength, _ = dblquad(integrand, -5.0, 11.0, -8.0, 8.0, epsabs=1e-10, epsrel=1e-10)
+    assert abs(strength - 0.9) < 1e-6
+
+
+def test_complex_calibration_needs_no_noise_near_or_above_the_noiseless_strength():
+    # no noise scale brings the grid's strength above 0.98274, short of the noiseless 0.98305
+    for target in (0.9828, response_effect(), 0.99, 1.0):
+        assert calibrate_sigma_valid("complex", target) == 0.0
+
+
+def test_complex_calibration_adds_noise_as_the_target_falls():
+    sigmas = [calibrate_sigma_valid("complex", target) for target in (0.95, 0.8, 0.6)]
+    assert 0.0 < sigmas[0] < sigmas[1] < sigmas[2]
 
 
 def test_valid_candidates_track_the_response():
@@ -212,7 +238,7 @@ def test_config_validation():
 
 def test_screening_experiment_boundary_false_positive_rate():
     cfg = DgpConfig(scenario="none_valid", n1=50, n0=50, p_total=20, seed=31)
-    uncorrected = run_screening_experiment(cfg, method=None, n_sim=100, keep_pvalues=True)
+    uncorrected = run_screening_experiment(cfg, method=None, n_sim=100)
     assert uncorrected.raw_pvalues.shape == (100, 20)
     # candidates sit on the test boundary, so rejections should track alpha
     assert 0.02 < uncorrected.mean_fpr < 0.09
@@ -221,7 +247,6 @@ def test_screening_experiment_boundary_false_positive_rate():
     corrected = run_screening_experiment(cfg, method="bh", n_sim=100)
     assert corrected.mean_fpr <= uncorrected.mean_fpr
     assert corrected.mean_fpr < 0.02
-    assert corrected.raw_pvalues is None
 
 
 def test_screening_experiment_is_deterministic():
@@ -316,7 +341,8 @@ EVALUATION_CASES = {
     "power 0.95, alpha 0.01": {"n": 25, "set_size": 6, "power": 0.95, "alpha": 0.01,
                                "seed": 9},
     "two per arm": {"n": 2, "set_size": 5, "n_sim": 40, "seed": 6},
-    # 40 cells per block at n = 50: the first boundary falls inside replicate 13
+    # a 40-cell budget at n = 50 would end a block inside replicate 13, so the blocks
+    # hold 13 whole replicates and the last one 4
     "block boundary inside a replicate": {"n": 50, "n_sim": 30, "seed": 7},
     "noiseless valid members": {"n": 30, "set_size": 5, "valid_strength": 1.0, "seed": 10},
 }
@@ -346,7 +372,7 @@ def test_evaluation_driver_memory_does_not_grow_with_replicates_beyond_its_pvalu
         finally:
             tracemalloc.stop()
 
-    peak(2)  # warm-up: the calibration cache and first-call allocations
+    peak(2)  # warm-up: first-call allocations
     small, _ = peak(200)
     large, pvalues_bytes = peak(2_000)
     # both runs fill at least one block of 102 cells; the slack covers the objects
@@ -361,7 +387,7 @@ def test_screening_driver_memory_does_not_grow_with_replicates_beyond_its_result
         """Peak traced memory of one call beyond what its returned experiment holds."""
         tracemalloc.start()
         try:
-            experiment = run_screening_experiment(cfg, n_sim=n_sim, keep_pvalues=True)
+            experiment = run_screening_experiment(cfg, n_sim=n_sim)
             held, peak = tracemalloc.get_traced_memory()
             assert len(experiment.metrics) == n_sim
             return peak - held
@@ -382,13 +408,13 @@ def test_screening_driver_peak_grows_only_by_its_pvalue_arrays():
     def peak(n_sim):
         tracemalloc.start()
         try:
-            experiment = run_screening_experiment(cfg, n_sim=n_sim, keep_pvalues=True)
+            experiment = run_screening_experiment(cfg, n_sim=n_sim)
             assert experiment.raw_pvalues.shape == (n_sim, cfg.p_total)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(2)  # warm-up: the calibration cache and first-call allocations
+    peak(2)  # warm-up: first-call allocations
     small, large = peak(20), peak(200)
     # the raw and adjusted p-values, (n_sim, p) float64 each, and each replicate's
     # confusion counts, about 200 bytes; the slack covers the cyclic collector's lag
@@ -577,7 +603,7 @@ def test_screening_driver_equals_screen_of_each_replicate(cfg, test_config, meth
     assert cfg.p_total > pipeline._BLOCK_BYTES // (8 * (cfg.n1 + cfg.n0))
     n_sim = 3
     experiment = run_screening_experiment(cfg, test_config, method=method, n_sim=n_sim,
-                                          boundary_epsilon=boundary, keep_pvalues=True)
+                                          boundary_epsilon=boundary)
     for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_sim)):
         sim = generate(cfg, np.random.default_rng(stream))
         config = test_config
