@@ -485,26 +485,15 @@ def write_dataset(data: Dataset, response_path: str, candidates_path: str,
 
 SCREENING_FIELDS = ("name", "delta", "ci_lower", "ci_upper", "sigma",
                     "raw_p", "adjusted_p")
-_screening_values = attrgetter(*SCREENING_FIELDS[1:])
-
-
-def _by_evidence(report: ScreeningReport):
-    """Screening rows, candidates with the strongest evidence first."""
-    return sorted(report.rows, key=lambda r: (r.adjusted_p, abs(r.delta), r.name))
-
-
-def screening_rows(report: ScreeningReport):
-    """Screening rows as dicts, candidates with the strongest evidence first."""
-    return [dict(zip(SCREENING_FIELDS, (row.name, *_screening_values(row))))
-            for row in _by_evidence(report)]
 
 
 def write_screening_table(report: ScreeningReport, path: str) -> None:
-    ordered = _by_evidence(report)
-    _write_rows(path, SCREENING_FIELDS,
-                _float_rows([(row.name,) for row in ordered],
-                            [_screening_values(row) for row in ordered]),
-                None)
+    order = report.evidence_order()
+    # a column at a time; repr of each float is what _cell writes for it
+    columns = (map(repr, getattr(report, field)[order].tolist())
+               for field in SCREENING_FIELDS[1:])
+    _write_rows(path, SCREENING_FIELDS, zip(map(report.names.__getitem__, order.tolist()),
+                                            *columns), None)
 
 
 def write_selected(report: ScreeningReport, path: str) -> None:
@@ -545,12 +534,10 @@ def write_evaluation_summary(results: list[tuple[str, SurrogateTestResult]], pat
 
 def write_volcano(report: ScreeningReport, path: str) -> None:
     """Effect size against evidence strength for every candidate."""
-    delta = np.array([row.delta for row in report.rows], dtype=float)
     with np.errstate(divide="ignore"):
-        strength = -np.log10(np.array([row.adjusted_p for row in report.rows], dtype=float))
+        strength = -np.log10(report.adjusted_p)
     _write_rows(path, ("name", "delta", "neg_log10_adjusted_p"),
-                _float_rows([(row.name,) for row in report.rows],
-                            np.column_stack([delta, strength])),
+                zip(report.names, *(map(repr, c.tolist()) for c in (report.delta, strength))),
                 None)
 
 
@@ -584,15 +571,11 @@ def write_rank_scatter(ids, blocks, response_values, marker_values, path: str) -
 
 def format_screening_table(report: ScreeningReport, digits: int = 4,
                            limit: int | None = None) -> str:
-    """Human-readable rendering pass; numbers are rounded here only."""
-    rows = screening_rows(report)
-    if limit is not None:
-        rows = rows[:limit]
-    header = list(SCREENING_FIELDS)
-    rendered = [[row["name"], *(f"{row[f]:.{digits}g}" for f in header[1:])] for row in rows]
-    widths = [max(len(header[j]), *(len(r[j]) for r in rendered)) if rendered
-              else len(header[j]) for j in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rendered:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+    """The screening table's first ``limit`` rows for reading; numbers are rounded here only."""
+    order = report.evidence_order()[:limit]
+    columns = [[report.names[j] for j in order.tolist()],
+               *([f"{value:.{digits}g}" for value in getattr(report, field)[order].tolist()]
+                 for field in SCREENING_FIELDS[1:])]
+    widths = [max(map(len, [field, *column])) for field, column in zip(SCREENING_FIELDS, columns)]
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in [SCREENING_FIELDS, *zip(*columns)])

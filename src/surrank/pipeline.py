@@ -9,7 +9,8 @@ selection and evaluation never touch the same observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -157,19 +158,30 @@ class Dataset:
             raise InvalidInputError(f"unknown candidate {name!r}") from None
 
     def take(self, rows_a, rows_b) -> "Dataset":
-        """Subset by row indices (paired designs require identical index sets)."""
-        rows_a = np.asarray(rows_a, dtype=int)
-        rows_b = np.asarray(rows_b, dtype=int)
-        return Dataset(
-            self.design,
-            self.response_a[rows_a],
-            self.response_b[rows_b],
-            self.candidates_a[rows_a],
-            self.candidates_b[rows_b],
-            self.names,
-            tuple(self.ids_a[i] for i in rows_a),
-            tuple(self.ids_b[i] for i in rows_b),
-        )
+        """Subset by distinct row indices (paired designs require identical index sets).
+
+        The subset shares this dataset's names, design and name lookup and
+        copies rows of its checked blocks, so it is not checked again.
+        """
+        rows_a, rows_b = _row_indices(rows_a, self.n_a), _row_indices(rows_b, self.n_b)
+        if self._design.shared_units and not np.array_equal(rows_a, rows_b):
+            raise InvalidInputError(f"{self.design} blocks must take the same rows in order")
+        subset = object.__new__(Dataset)
+        subset.__dict__.update(
+            self.__dict__, response_a=self.response_a[rows_a], response_b=self.response_b[rows_b],
+            candidates_a=self.candidates_a[rows_a], candidates_b=self.candidates_b[rows_b],
+            ids_a=tuple(map(self.ids_a.__getitem__, rows_a.tolist())),
+            ids_b=tuple(map(self.ids_b.__getitem__, rows_b.tolist())))
+        return subset
+
+
+def _row_indices(rows, n: int) -> np.ndarray:
+    """``rows`` as an array of distinct integer indices into ``n`` rows, at least one."""
+    rows = np.asarray(rows)
+    if (rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu" or rows.min() < 0
+            or rows.max() >= n or np.unique(rows).size != rows.size):
+        raise InvalidInputError(f"row indices must be distinct integers in [0, {n}), got {rows!r}")
+    return rows
 
 
 def _default_names(names, candidates) -> tuple[str, ...]:
@@ -202,16 +214,29 @@ class ScreeningRow:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class ScreeningReport:
-    """Stage-one output: per-candidate rows plus the ordered selected set.
+_ROW_COLUMNS = tuple(f.name for f in fields(ScreeningRow))[1:]
 
-    ``selected`` is ordered by adjusted p, then absolute gap, then name,
-    all ascending.  ``n_a``/``n_b`` record the screening-split block sizes
-    that downstream weight flooring is based on.
+
+@dataclass(frozen=True, eq=False)
+class ScreeningReport:
+    """Stage-one output: per-candidate columns plus the ordered selected set.
+
+    Entry j of each array, a field of :class:`ScreeningRow`, belongs to
+    ``names[j]``.  ``selected`` is ordered by adjusted p, then absolute gap,
+    then name, all ascending: :meth:`evidence_order`.  ``n_a``/``n_b``
+    record the screening-split sizes that weight flooring is based on.
+    Reports are equal when their fields are, the arrays bit for bit.
     """
 
-    rows: tuple[ScreeningRow, ...]
+    names: tuple[str, ...]
+    u_candidate: np.ndarray
+    delta: np.ndarray
+    sigma: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    raw_p: np.ndarray
+    adjusted_p: np.ndarray
+    degenerate: np.ndarray
     selected: tuple[str, ...]
     epsilon_used: float
     method: Method | None
@@ -222,15 +247,41 @@ class ScreeningReport:
     n_a: int
     n_b: int
 
-    def __post_init__(self):
-        # name -> row; not a field, so equality ignores it
-        object.__setattr__(self, "_rows", {row.name: row for row in self.rows})
+    def __eq__(self, other):
+        if not isinstance(other, ScreeningReport):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all((a.shape, a.tobytes()) == (b.shape, b.tobytes()) if isinstance(a, np.ndarray)
+                   else a == b for a, b in pairs)
+
+    @cached_property
+    def rows(self) -> tuple[ScreeningRow, ...]:
+        """One row per candidate in column order, built on first access."""
+        return tuple(map(ScreeningRow, self.names,
+                         *(getattr(self, column).tolist() for column in _ROW_COLUMNS)))
+
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        """Name -> entry, built on first access."""
+        return dict(zip(self.names, range(len(self.names))))
 
     def row(self, name: str) -> ScreeningRow:
-        try:
-            return self._rows[name]
-        except KeyError:
-            raise InvalidInputError(f"no screening row for candidate {name!r}") from None
+        if name not in self._columns:
+            raise InvalidInputError(f"no screening row for candidate {name!r}")
+        return ScreeningRow(name, *(getattr(self, column)[self._columns[name]].item()
+                                    for column in _ROW_COLUMNS))
+
+    def evidence_order(self) -> np.ndarray:
+        """Every entry in the order of ``selected``: the screening table's row order."""
+        return _by_evidence(self.names, self.delta, self.adjusted_p, np.arange(len(self.names)))
+
+
+def _by_evidence(names, delta, adjusted_p, entries: np.ndarray) -> np.ndarray:
+    """``entries`` by adjusted p, then absolute gap, then name as ``sorted`` orders names."""
+    labels = [names[j] for j in entries.tolist()]
+    by_name = np.empty(entries.size, dtype=np.intp)
+    by_name[sorted(range(entries.size), key=labels.__getitem__)] = np.arange(entries.size)
+    return entries[np.lexsort((by_name, np.abs(delta[entries]), adjusted_p[entries]))]
 
 
 @dataclass(frozen=True)
@@ -325,26 +376,11 @@ def screen(data: Dataset, config: TestConfig = TestConfig(),
     test = _assemble(delta, sigma, flat, epsilon, config.alpha, config.mode)
     raw = test["p_value"]
     adjusted = adjust(raw, method).adjusted if method is not None else raw
-    rows = tuple(
-        ScreeningRow(*fields)
-        for fields in zip(data.names, u_candidate.tolist(), delta.tolist(), sigma.tolist(),
-                          test["ci_lower"].tolist(), test["ci_upper"].tolist(),
-                          raw.tolist(), adjusted.tolist(), test["degenerate"].tolist())
-    )
-    hits = [row for row in rows if row.adjusted_p < config.alpha]
-    hits.sort(key=lambda row: (row.adjusted_p, abs(row.delta), row.name))
+    hits = _by_evidence(data.names, delta, adjusted, np.flatnonzero(adjusted < config.alpha))
     return ScreeningReport(
-        rows=rows,
-        selected=tuple(row.name for row in hits),
-        epsilon_used=float(epsilon),
-        method=method,
-        alpha=config.alpha,
-        mode=config.mode,
-        design=data.design,
-        u_response=float(u_y),
-        n_a=data.n_a,
-        n_b=data.n_b,
-    )
+        data.names, u_candidate, delta, sigma, test["ci_lower"], test["ci_upper"], raw, adjusted,
+        test["degenerate"], tuple(map(data.names.__getitem__, hits.tolist())), float(epsilon),
+        method, config.alpha, config.mode, data.design, float(u_y), data.n_a, data.n_b)
 
 
 def _screen_workspace(design: _Design, n_a: int, n_b: int, p: int) -> _Workspace:
@@ -465,9 +501,8 @@ def combine(data: Dataset, report: ScreeningReport):
         raise AlignmentError(f"selected candidates absent from dataset: {missing}")
 
     floor = _Design.named(report.design).weight_floor(report.n_a, report.n_b)
-    weights = np.array(
-        [1.0 / max(abs(report.row(name).delta), floor) for name in report.selected]
-    )
+    delta = report.delta[[report._columns[name] for name in report.selected]]
+    weights = 1.0 / np.maximum(np.abs(delta), floor)
     gamma, means, sds, degenerate = _combined_marker(data, report.selected, weights)
     combined = CombinedSurrogate(
         members=report.selected,

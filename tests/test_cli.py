@@ -7,7 +7,7 @@ import pytest
 
 from surrank.cli import main
 from surrank.dataio import IngestSpec, ingest, read_table, write_dataset, write_table
-from surrank.pipeline import Dataset
+from surrank.pipeline import Dataset, ScreeningRow
 
 
 @pytest.fixture()
@@ -97,6 +97,18 @@ def test_rise_subcommand_emits_all_report_files(files):
     assert len(shared) == 1
     _, weight_rows = read_table(str(out / "weights.csv"))
     assert all(float(r["weight"]) > 0 for r in weight_rows)
+
+
+def test_rise_and_screen_build_no_screening_rows(files, monkeypatch, capsys):
+    tmp_path, resp, cand = files
+    built = []
+    init = ScreeningRow.__init__
+    monkeypatch.setattr(ScreeningRow, "__init__",
+                        lambda self, *fields: built.append(fields[0]) or init(self, *fields))
+    assert main(["rise", *base(resp, cand), "--seed", "5", "--out", str(tmp_path / "run")]) == 0
+    assert main(["screen", *base(resp, cand), "--out", str(tmp_path / "screen.csv")]) == 0
+    assert built == []
+    assert (tmp_path / "run" / "selected.txt").read_text()
 
 
 def test_identical_invocation_is_byte_identical(files):

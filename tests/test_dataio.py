@@ -2,8 +2,10 @@
 
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from surrank import dataio
 from surrank.dataio import (
@@ -13,7 +15,6 @@ from surrank.dataio import (
     ingest,
     rank_scatter,
     read_table,
-    screening_rows,
     write_dataset,
     write_evaluation_summary,
     write_rank_scatter,
@@ -25,7 +26,7 @@ from surrank.dataio import (
 )
 from surrank.errors import IngestError
 from surrank.inference import TestConfig, surrogate_test
-from surrank.pipeline import CombinedSurrogate, Dataset, ScreeningReport, ScreeningRow, screen
+from surrank.pipeline import CombinedSurrogate, Dataset, ScreeningReport, screen
 from surrank.rankstats import u_statistic
 
 
@@ -526,21 +527,45 @@ def test_spec_validation():
         IngestSpec("r.csv", "c.csv", group_a="x", group_b="x")
 
 
+def columns_report(names, u_candidate, delta, sigma, ci_lower, ci_upper, raw_p, adjusted_p,
+                   selected):
+    """A hand-built unpaired report from its columns, none degenerate."""
+    return ScreeningReport(
+        tuple(names), *(np.array(column, dtype=float) for column in (
+            u_candidate, delta, sigma, ci_lower, ci_upper, raw_p, adjusted_p)),
+        np.zeros(len(names), dtype=bool), tuple(selected), epsilon_used=0.2, method="bh",
+        alpha=0.05, mode="noninferiority", design="unpaired", u_response=0.95, n_a=20, n_b=20)
+
+
 def manual_report():
-    rows = (
-        ScreeningRow(name="g1", u_candidate=0.9, delta=0.05, sigma=0.02,
-                     ci_lower=0.01, ci_upper=0.09, raw_p=0.001, adjusted_p=0.003,
-                     degenerate=False),
-        ScreeningRow(name="g2", u_candidate=0.6, delta=0.35, sigma=0.05,
-                     ci_lower=0.25, ci_upper=0.45, raw_p=0.4, adjusted_p=0.6,
-                     degenerate=False),
-        ScreeningRow(name="g3", u_candidate=0.88, delta=0.07, sigma=0.03,
-                     ci_lower=0.0, ci_upper=0.14, raw_p=0.002, adjusted_p=0.003,
-                     degenerate=False),
-    )
-    return ScreeningReport(rows=rows, selected=("g1", "g3"), epsilon_used=0.2,
-                           method="bh", alpha=0.05, mode="noninferiority",
-                           design="unpaired", u_response=0.95, n_a=20, n_b=20)
+    return columns_report(names=("g1", "g2", "g3"), u_candidate=(0.9, 0.6, 0.88),
+                          delta=(0.05, 0.35, 0.07), sigma=(0.02, 0.05, 0.03),
+                          ci_lower=(0.01, 0.25, 0.0), ci_upper=(0.09, 0.45, 0.14),
+                          raw_p=(0.001, 0.4, 0.002), adjusted_p=(0.003, 0.6, 0.003),
+                          selected=("g1", "g3"))
+
+
+@st.composite
+def tied_reports(draw):
+    """Hand-built reports whose adjusted p-values and absolute gaps tie often."""
+    names = draw(st.lists(st.text(alphabet=st.sampled_from("aAbé中ß\x00"), min_size=1,
+                                  max_size=3), min_size=1, max_size=12, unique=True))
+    column = st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5]), min_size=len(names),
+                      max_size=len(names))
+    pvalues = st.lists(st.sampled_from([0.0, 0.01, 1.0]), min_size=len(names),
+                       max_size=len(names))
+    delta, adjusted = draw(column), draw(pvalues)
+    return columns_report(names, [0.5] * len(names), delta, [0.1] * len(names), delta, delta,
+                          adjusted, adjusted, selected=())
+
+
+@given(tied_reports(), st.integers(0, 12))
+def test_screening_table_and_its_rendering_follow_the_evidence_order(report, limit):
+    expected = sorted(report.names, key=lambda name: (report.row(name).adjusted_p,
+                                                      abs(report.row(name).delta), name))
+    assert [report.names[j] for j in report.evidence_order()] == expected
+    rendered = format_screening_table(report, limit=limit).splitlines()[1:]
+    assert [line.split()[0] for line in rendered] == expected[:limit]
 
 
 def test_screening_table_round_trips_at_full_precision(tmp_path):
@@ -598,17 +623,9 @@ def test_evaluation_summary_writes_a_whole_number_margin_as_a_float(tmp_path):
 
 
 def test_volcano_data_handles_zero_adjusted_p(tmp_path):
-    rows = (
-        ScreeningRow(name="g1", u_candidate=0.9, delta=0.05, sigma=0.02,
-                     ci_lower=0.01, ci_upper=0.09, raw_p=0.0, adjusted_p=0.0,
-                     degenerate=False),
-        ScreeningRow(name="g2", u_candidate=0.6, delta=0.35, sigma=0.05,
-                     ci_lower=0.25, ci_upper=0.45, raw_p=0.5, adjusted_p=1.0,
-                     degenerate=False),
-    )
-    report = ScreeningReport(rows=rows, selected=("g1",), epsilon_used=0.2,
-                             method="bh", alpha=0.05, mode="noninferiority",
-                             design="unpaired", u_response=0.95, n_a=20, n_b=20)
+    report = columns_report(names=("g1", "g2"), u_candidate=(0.9, 0.6), delta=(0.05, 0.35),
+                            sigma=(0.02, 0.05), ci_lower=(0.01, 0.25), ci_upper=(0.09, 0.45),
+                            raw_p=(0.0, 0.5), adjusted_p=(0.0, 1.0), selected=("g1",))
     path = tmp_path / "volcano.csv"
     write_volcano(report, str(path))
     _, out = read_table(str(path))
@@ -650,8 +667,8 @@ def test_human_formatting_is_a_separate_rendering_pass():
     assert lines[1].startswith("g1")
     assert "0.05" in lines[1]
     assert len(format_screening_table(report, limit=1).splitlines()) == 2
-    # full-precision emission is untouched by formatting choices
-    assert screening_rows(report)[0]["delta"] == 0.05
+    # full-precision values are untouched by formatting choices
+    assert report.row("g1").delta == 0.05
 
 
 def test_generic_table_round_trip(tmp_path):

@@ -5,6 +5,9 @@ its one-column case.  These tests pin both against the brute-force
 win/tie kernel and against each other, bit for bit.
 """
 
+import csv
+import os
+import tempfile
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given
 
 from surrank import pipeline
+from surrank.dataio import write_screening_table
 from surrank.inference import TestConfig, surrogate_test
 from surrank.pipeline import Dataset, screen
 from surrank.rankstats import _Design, _Workspace, g_kernel, u_statistic
@@ -184,6 +188,34 @@ def test_permuting_subjects_moves_their_counts_and_keeps_every_row(data, random)
                                                                  rel=0.0, abs=1e-15)
         assert (other.raw_p, other.adjusted_p) == pytest.approx((row.raw_p, row.adjusted_p),
                                                                 rel=1e-13, abs=0.0)
+
+
+# non-ASCII letters, NULs (numpy's fixed-width strings drop them at the end) and the
+# characters a CSV writer must quote
+NAME_TEXT = st.text(alphabet=st.sampled_from('aAbé中ß\x00,"\n'), min_size=1, max_size=3)
+
+
+def evidence_order(report):
+    """Entries sorted by (adjusted p, |delta|, name) on Python floats, the documented order."""
+    return sorted(range(len(report.names)),
+                  key=lambda j: (report.adjusted_p[j], abs(report.delta[j]), report.names[j]))
+
+
+@given(studies(max_p=12), st.lists(NAME_TEXT, min_size=12, max_size=12, unique=True),
+       st.sampled_from(["bh", "bonferroni", None]), st.sampled_from([0.1, 0.3, 0.5]))
+def test_selection_and_screening_table_follow_the_evidence_order(data, names, method, epsilon):
+    data = Dataset(data.design, data.response_a, data.response_b, data.candidates_a,
+                   data.candidates_b, names[:data.p], data.ids_a, data.ids_b)
+    report = screen(data, TestConfig(epsilon=epsilon), method)
+    order = evidence_order(report)
+    assert report.selected == tuple(report.names[j] for j in order
+                                    if report.adjusted_p[j] < report.alpha)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "screening.csv")
+        write_screening_table(report, path)
+        with open(path, newline="") as handle:
+            listed = [row[0] for row in csv.reader(handle)][1:]
+    assert listed == [report.names[j] for j in order]
 
 
 TINY, HUGE = 5e-324, np.finfo(float).max

@@ -217,14 +217,14 @@ def test_weight_floor_values():
 
 
 def manual_report(design, names, deltas, n_a, n_b):
-    rows = tuple(
-        ScreeningRow(name=n, u_candidate=0.8, delta=d, sigma=0.02, ci_lower=d - 0.03,
-                     ci_upper=d + 0.03, raw_p=0.001, adjusted_p=0.002, degenerate=False)
-        for n, d in zip(names, deltas)
-    )
+    """A hand-built report from its columns, every candidate selected."""
+    deltas = np.array(deltas, dtype=float)
+    full = np.full(len(names), 1.0)
     return ScreeningReport(
-        rows=rows, selected=tuple(names), epsilon_used=0.2, method="bh", alpha=0.05,
-        mode="noninferiority", design=design, u_response=0.95, n_a=n_a, n_b=n_b,
+        tuple(names), 0.8 * full, deltas, 0.02 * full, deltas - 0.03, deltas + 0.03,
+        0.001 * full, 0.002 * full, np.zeros(len(names), dtype=bool), selected=tuple(names),
+        epsilon_used=0.2, method="bh", alpha=0.05, mode="noninferiority", design=design,
+        u_response=0.95, n_a=n_a, n_b=n_b,
     )
 
 
@@ -380,9 +380,52 @@ def test_members_are_single_marker_tests_at_the_evaluation_margin(design, mode):
     )
 
 
+@pytest.mark.parametrize("rows_a, rows_b", [
+    ([0, 9], [0, 1]),  # out of range
+    ([0, 1], [-1, 0]),  # negative
+    ([0.5, 1], [0, 1]),  # not integers
+    ([0, 0, 1], [0, 1]),  # repeated
+    ([], [0, 1]),  # empty
+    ([[0, 1]], [0, 1]),  # not one-dimensional
+])
+def test_take_rejects_bad_row_indices(rows_a, rows_b):
+    data = make_unpaired(n1=5, n0=5)
+    with pytest.raises(InvalidInputError, match="row indices"):
+        data.take(rows_a, rows_b)
+
+
+def test_take_rejects_different_rows_of_a_paired_design():
+    rng = np.random.default_rng(5)
+    data = Dataset.paired(rng.normal(size=5), rng.normal(size=5), rng.normal(size=(5, 2)),
+                          rng.normal(size=(5, 2)))
+    with pytest.raises(InvalidInputError, match="same rows"):
+        data.take([0, 1, 2], [0, 2, 1])
+
+
+def test_take_keeps_the_chosen_rows_and_shares_the_names():
+    data = make_unpaired(n1=6, n0=5)
+    part = data.take(np.array([4, 0, 2]), [1, 3])
+    assert part.ids_a == (data.ids_a[4], data.ids_a[0], data.ids_a[2])
+    assert part.ids_b == (data.ids_b[1], data.ids_b[3])
+    assert np.array_equal(part.candidates_a, data.candidates_a[[4, 0, 2]])
+    assert np.array_equal(part.response_b, data.response_b[[1, 3]])
+    assert part.names is data.names and part._columns is data._columns
+    assert (part.design, part.n_a, part.n_b, part.p) == ("unpaired", 3, 2, data.p)
+
+
+def test_run_pipeline_builds_no_screening_rows(monkeypatch):
+    built, init = [], ScreeningRow.__init__
+    monkeypatch.setattr(ScreeningRow, "__init__",
+                        lambda self, *fields: built.append(fields[0]) or init(self, *fields))
+    result = run_pipeline(make_unpaired(n1=60, n0=60, n_valid=4, n_noise=6, seed=61), seed=3)
+    assert result.screening.selected and built == []
+    first = result.screening.selected[0]
+    assert result.screening.row(first).name == first and built == [first]
+
+
 def test_screening_report_row_lookup():
     report = manual_report("paired", ["a", "b"], [0.1, -0.2], 12, 12)
-    assert report.row("b") is report.rows[1]
+    assert report.row("b") == report.rows[1]
     with pytest.raises(InvalidInputError, match="'c'"):
         report.row("c")
 
