@@ -4,12 +4,17 @@
 
 Sizes (n per arm, k kernel rows): 100 / 101 and 150 / 513 on continuous
 normal data, 150 / 513 on the same data rounded to integers (10 levels,
-so many comparisons sit in tie runs), and 50 / 2, the response
-and one candidate of a single-marker test.  101 is the response plus the
-p = 100 panel of the Monte-Carlo drivers and 513 the response plus 512
-candidates, a block far wider than the 40 or fewer columns ``screen``
-uses at these heights (``bench/screen.py`` sweeps the width).  The 50 / 2 case also times the whole ``surrogate_test``, whose
-fixed per-call costs the simulation drivers pay 200 times per call.
+so many comparisons sit in tie runs), 112 / 37 with every fourth row
+rounded, and 50 / 2, the response and one candidate of a single-marker
+test.  101 is the response plus the p = 100 panel of the Monte-Carlo
+drivers and 513 the response plus 512 candidates, a block far wider than
+the 40 or fewer columns ``screen`` uses at these heights
+(``bench/screen.py`` sweeps the width).  Continuous blocks hold no tie,
+while a block with any rounded row has tie runs; 112 / 37 is the shape
+of the blocks ``screen`` takes on the perfbench screen_wide study, whose
+every fourth candidate is quantised.  The 50 / 2 case also times the
+whole ``surrogate_test``, whose fixed per-call costs the simulation
+drivers pay 200 times per call.
 
 Each case runs ``REPEATS`` batches of calls and records the time per call
 of every batch and their median.  Trees whose kernel takes a pooled block
@@ -45,12 +50,14 @@ from surrank.inference import TestConfig, surrogate_test
 from surrank.rankstats import TwoArmSample
 
 REPEATS = 7
-# calls per timed batch, so that each batch takes tens of milliseconds
+# the stride of the rounded rows (0: none) and calls per timed batch, so that each
+# batch takes tens of milliseconds
 SIZES = (
-    ("continuous_100x101", 100, 101, False, 20),
-    ("continuous_150x513", 150, 513, False, 4),
-    ("rounded_150x513", 150, 513, True, 4),
-    ("single_marker_50x2", 50, 2, False, 500),
+    ("continuous_100x101", 100, 101, 0, 20),
+    ("continuous_150x513", 150, 513, 0, 4),
+    ("rounded_150x513", 150, 513, 1, 4),
+    ("mixed_112x37", 112, 37, 4, 40),
+    ("single_marker_50x2", 50, 2, 0, 500),
 )
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, MMAP_THRESHOLD = -1, -3, 128 * 1024
 
@@ -106,18 +113,19 @@ def per_call(fn, calls: int) -> list[float]:
     return times
 
 
-def time_case(name: str, n: int, k: int, rounded: bool, calls: int) -> dict:
+def time_case(name: str, n: int, k: int, rounded_every: int, calls: int) -> dict:
     rng = np.random.default_rng(0)
     a, b = rng.normal(0.3, 1.0, (n, k)), rng.normal(0.0, 1.0, (n, k))
-    if rounded:
-        a, b = np.round(a), np.round(b)
+    rounded = slice(None, None, rounded_every) if rounded_every else slice(0)
+    a[:, rounded], b[:, rounded] = np.round(a[:, rounded]), np.round(b[:, rounded])
     call = kernel_call("unpaired", a, b)
     expected = mannwhitneyu(a, b, axis=0).statistic / (n * n)
     if not np.array_equal(call().u, expected):
         raise SystemExit(f"{name}: kernel U differs from scipy's Mann-Whitney U")
     kernel_s = per_call(call, calls)
-    case = {"name": name, "n_per_arm": n, "k": k, "rounded": rounded,
-            "levels": int(np.unique(np.concatenate([a, b])).size) if rounded else None,
+    levels = np.unique(np.concatenate([a[:, rounded], b[:, rounded]])).size
+    case = {"name": name, "n_per_arm": n, "k": k, "rounded_every": rounded_every,
+            "levels": int(levels) if rounded_every else None,
             "calls_per_batch": calls,
             "kernel_s": median(kernel_s), "kernel_s_all": kernel_s}
     if k == 2:

@@ -45,7 +45,6 @@ from .rankstats import (
     PairedSample,
     TwoArmSample,
     UEstimate,
-    g_kernel,
     normal_cdf,
     normal_quantile,
     u_statistic,
@@ -102,7 +101,6 @@ __all__ = [
     "combine",
     "estimate_valid_strength",
     "evaluate",
-    "g_kernel",
     "generate",
     "normal_cdf",
     "normal_quantile",

@@ -391,8 +391,10 @@ def _write_rows(path: str, header, rows, delimiter: str | None) -> None:
     sep = delimiter if delimiter is not None else default_delimiter(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=sep, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        # csv quotes a line break only if the line terminator holds it, so not "\r"
+        quoted = csv.writer(handle, delimiter=sep, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in chain([header], rows):
+            (quoted if "\r" in "".join(row) else writer).writerow(row)
 
 
 def _float_rows(labels, block):

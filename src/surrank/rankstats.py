@@ -8,7 +8,8 @@ through the kernel.  The unpaired kernel sorts each pooled row once and
 cuts the sorted row into runs of equal values; every observation scores
 the other arm's entries below its run plus half of those inside it (the
 midrank construction of Sun & Xu, 2014), so the order in which the sort
-leaves equal values cannot change a count.
+leaves equal values cannot change a count.  A block without ties takes
+the closed form of one-entry runs, which needs no run table.
 
 Each design has one kernel, which works on a pooled block of variables
 at once, one variable per row with block a's observations first, and
@@ -96,17 +97,6 @@ class UEstimate:
             raise InvalidInputError(f"tie fraction {self.tie_fraction} outside [0, 1]")
 
 
-def g_kernel(a: float, b: float) -> float:
-    """Pairwise win/tie kernel: 1 if a > b, 1/2 if a == b, 0 if a < b."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidInputError("g_kernel requires finite inputs")
-    if a > b:
-        return 1.0
-    if a == b:
-        return 0.5
-    return 0.0
-
-
 class _Workspace:
     """Buffers for blocks of up to ``rows`` variables over ``n`` pooled observations.
 
@@ -114,7 +104,8 @@ class _Workspace:
     first.  The other arrays are the kernels' and the variance's
     temporaries, which every block overwrites, so a call that makes one
     workspace for all its blocks allocates only argsort's index array per
-    block and finds every other page already mapped.
+    block and finds every other page already mapped.  A tie-free block
+    takes the unpaired kernel's closed form in ``table`` and ``descent``.
     """
 
     def __init__(self, rows: int, n: int):
@@ -132,7 +123,8 @@ class _Workspace:
         self.slot = np.empty(marks, dtype=np.intp)  # compaction slots, then table lookups
         self.a_at = np.empty(marks + 1, dtype=np.intp)
         self.b_at = np.empty(marks + 1, dtype=np.intp)
-        self.table = np.empty(2 * marks)
+        self.table = np.empty(2 * marks)  # run scores, or the controls up to each entry
+        self.descent = n - np.arange(2.0 * n)  # from n - n_a + 1 on, n_a - 1 - j
         self.counts = np.empty((rows, n))
 
 
@@ -190,39 +182,47 @@ def _unpaired_placements(pooled: np.ndarray, n_a: int, work: _Workspace,
     # numbered from 1 in flat order, and a run spans its flag to the next one
     flags = work.flags[:k]
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=flags[:, 1:n])
-    run = np.cumsum(flags, dtype=np.intp, out=work.run[:k * (n + 1)])
-    marks = int(run[-1])
-    below = work.below[:k]  # controls before each position of its row
-    np.cumsum(control, axis=1, dtype=np.intp, out=below[:, 1:])
-    # a_at[q - 1] and b_at[q - 1]: the treated and the controls before flag q in its
-    # row; unflagged positions all write to slot `marks`, which nothing reads
-    slot = work.slot[:run.size]
-    slot.fill(marks)
-    np.subtract(run, 1, out=slot, where=flags.ravel())
-    a_at, b_at = work.a_at[:marks + 1], work.b_at[:marks + 1]
-    b_at[slot] = below.ravel()
-    a_at[slot] = work.position[:run.size]
-    a_at -= b_at
-    # doubled, a treated entry of run q scores the controls below the run plus those
-    # in it, b_at[q - 1] + b_at[q], kept in table[q]; a control entry the treated
-    # above it plus those in it, 2 n_a - a_at[q - 1] - a_at[q], in table[marks + q]
-    table = work.table[:2 * marks]
-    np.add(b_at[:marks - 1], b_at[1:marks], out=table[1:marks])
-    np.add(a_at[:marks - 1], a_at[1:marks], out=table[marks + 1:])
-    np.subtract(2 * n_a, table[marks + 1:], out=table[marks + 1:])
-    lookup = np.multiply(control, marks, out=slot[:k * n].reshape(k, n))
-    lookup += run.reshape(k, n + 1)[:, :n]
-    doubled = np.take(table, lookup, out=ordered, mode="clip")
+    if flags.all():
+        # no tie run: with c[j] the controls up to sorted position j, doubled, a treated
+        # entry there scores 2 c[j] and a control 2 (c[j] + n_a - 1 - j), the treated above
+        doubled = np.multiply(control, work.descent[n - n_a + 1:2 * n - n_a + 1], out=ordered)
+        doubled += np.cumsum(control, axis=1, dtype=float, out=work.table[:k * n].reshape(k, n))
+        doubled += doubled
+        ties = np.zeros(tied_rows, dtype=np.intp)
+    else:
+        run = np.cumsum(flags, dtype=np.intp, out=work.run[:k * (n + 1)])
+        marks = int(run[-1])
+        below = work.below[:k]  # controls before each position of its row
+        np.cumsum(control, axis=1, dtype=np.intp, out=below[:, 1:])
+        # a_at[q - 1] and b_at[q - 1]: the treated and the controls before flag q in its
+        # row; unflagged positions all write to slot `marks`, which nothing reads
+        slot = work.slot[:run.size]
+        slot.fill(marks)
+        np.subtract(run, 1, out=slot, where=flags.ravel())
+        a_at, b_at = work.a_at[:marks + 1], work.b_at[:marks + 1]
+        b_at[slot] = below.ravel()
+        a_at[slot] = work.position[:run.size]
+        a_at -= b_at
+        # doubled, a treated entry of run q scores the controls below the run plus those
+        # in it, b_at[q - 1] + b_at[q], kept in table[q]; a control entry the treated
+        # above it plus those in it, 2 n_a - a_at[q - 1] - a_at[q], in table[marks + q]
+        table = work.table[:2 * marks]
+        np.add(b_at[:marks - 1], b_at[1:marks], out=table[1:marks])
+        np.add(a_at[:marks - 1], a_at[1:marks], out=table[marks + 1:])
+        np.subtract(2 * n_a, table[marks + 1:], out=table[marks + 1:])
+        lookup = np.multiply(control, marks, out=slot[:k * n].reshape(k, n))
+        lookup += run.reshape(k, n + 1)[:, :n]
+        doubled = np.take(table, lookup, out=ordered, mode="clip")
+        # run q has (a_at[q] - a_at[q - 1]) (b_at[q] - b_at[q - 1]) tied comparisons; the
+        # pair of a row end and the next row's first flag is no run and gives n_a n_b
+        ends = run[n:(n + 1) * tied_rows:n + 1]
+        last = int(ends[-1])
+        tied = np.subtract(a_at[1:last], a_at[:last - 1])
+        tied *= b_at[1:last] - b_at[:last - 1]
+        ties = np.add.reduceat(tied, np.concatenate([[0], ends[:-1]]))
+        ties[:-1] -= n_a * (n - n_a)
     counts = work.counts[:k]
     counts.ravel()[order] = doubled
-    # run q has (a_at[q] - a_at[q - 1]) (b_at[q] - b_at[q - 1]) tied comparisons; the
-    # pair of a row end and the next row's first flag is no run and gives n_a n_b
-    ends = run[n:(n + 1) * tied_rows:n + 1]
-    last = int(ends[-1])
-    tied = np.subtract(a_at[1:last], a_at[:last - 1])
-    tied *= b_at[1:last] - b_at[:last - 1]
-    ties = np.add.reduceat(tied, np.concatenate([[0], ends[:-1]]))
-    ties[:-1] -= n_a * (n - n_a)
     return _Placements((counts[:, :n_a], counts[:, n_a:]), (n - n_a, n_a), (n_a, n - n_a),
                        ties)
 

